@@ -17,7 +17,7 @@ from .tensor import (
     set_default_dtype,
 )
 from .surrogates import SURROGATE_TAGS, SurrogateFn, get_surrogate
-from .neurons import LIFParams, NeuronState, init_state, lif_smooth_step, lif_step
+from .neurons import LIFParams, NeuronState, init_state, lif_scan, lif_smooth_step, lif_step
 from .topology import (
     CycleError,
     GraphError,

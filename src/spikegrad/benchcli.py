@@ -15,7 +15,10 @@ from . import executor, topology, training
 from .executor import ExecutionPlan, PlanError
 from .neurons import LIFParams
 from .tensor import ContractError, ShapeError, Tensor, ValidationError
-from .topology import GraphError, lif_layer, linear_layer, conv_layer, sequential
+from .topology import GraphError, conv_layer, flatten_layer, lif_layer, linear_layer, sequential
+
+
+CNN_CLASSES = 10  # width of the CNN bench graph's LIF readout
 
 
 @dataclass
@@ -35,7 +38,6 @@ class BenchSpec:
     rate: float = 0.2
     seed: int = 0
     schedulers: tuple = ("step_by_step", "layer_by_layer")
-    unrolls: tuple = (1, 8)
 
     def __post_init__(self):
         if self.arch not in ("mlp", "cnn"):
@@ -52,16 +54,14 @@ class BenchSpec:
     def from_json(cls, doc):
         doc = dict(doc)
         doc.pop("version", None)
-        for key in ("schedulers", "unrolls"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
+        if "schedulers" in doc:
+            doc["schedulers"] = tuple(doc["schedulers"])
         return cls(**doc)
 
 
 @dataclass
 class TimingRow:
     scheduler: str
-    unroll: int
     phase: str  # 'forward' | 'forward_backward'
     median_ms: float
     p10_ms: float
@@ -126,6 +126,7 @@ def build_bench_graph(spec, dtype=None):
                                  padding=pad))
         layers.append(lif_layer(params=lif))
         c_in = spec.channels
+    layers += [flatten_layer(), linear_layer(CNN_CLASSES), lif_layer(CNN_CLASSES, params=lif)]
     return sequential(
         layers,
         input_shape=(spec.in_channels, spec.image_size, spec.image_size),
@@ -153,19 +154,16 @@ def _target_for(graph):
     return target
 
 
-def _check_scheduler_equivalence(graph, batch, unrolls, atol=1e-6):
+def _check_scheduler_equivalence(graph, batch, atol=1e-6):
     """Verify output equivalence once, before any timing loop runs."""
-    x = batch[0]
-    states = executor.init_states(graph)
-    _, ref = executor.run(graph, ExecutionPlan("step_by_step"), x, states)
-    ref_out = ref.outputs[graph.output_nodes[0]].data
-    for unroll in unrolls:
+
+    def output(scheduler):
         states = executor.init_states(graph)
-        _, got = executor.run(graph, ExecutionPlan("layer_by_layer", unroll=unroll), x, states)
-        if not np.allclose(got.outputs[graph.output_nodes[0]].data, ref_out, atol=atol):
-            raise ValidationError(
-                f"scheduler outputs diverged beyond {atol} at unroll={unroll}"
-            )
+        _, rec = executor.run(graph, ExecutionPlan(scheduler), batch[0], states)
+        return rec.outputs[graph.output_nodes[0]].data
+
+    if not np.allclose(output("layer_by_layer"), output("step_by_step"), atol=atol):
+        raise ValidationError(f"scheduler outputs diverged beyond {atol}")
 
 
 def bench(spec):
@@ -173,7 +171,7 @@ def bench(spec):
     graph = build_bench_graph(spec)
     batch = _bench_inputs(spec)
     target = _target_for(graph)
-    _check_scheduler_equivalence(graph, batch, spec.unrolls)
+    _check_scheduler_equivalence(graph, batch)
     loss_batch = [(x, target) for x in batch]
 
     def forward_once(plan):
@@ -186,38 +184,35 @@ def bench(spec):
 
     rows = []
     for scheduler in spec.schedulers:
-        unrolls = spec.unrolls if scheduler == "layer_by_layer" else (1,)
-        for unroll in unrolls:
-            plan = ExecutionPlan(scheduler, unroll=unroll)
-            for phase, fn in (
-                ("forward", forward_once),
-                ("forward_backward", forward_backward_once),
-            ):
-                fn(plan)  # warmup, discarded
-                times = []
-                for _ in range(spec.repeats):
-                    t0 = time.perf_counter()
-                    fn(plan)
-                    times.append((time.perf_counter() - t0) * 1000.0)
-                rows.append(
-                    TimingRow(
-                        scheduler=scheduler,
-                        unroll=unroll,
-                        phase=phase,
-                        median_ms=statistics.median(times),
-                        p10_ms=float(np.percentile(times, 10)),
-                        p90_ms=float(np.percentile(times, 90)),
-                    )
+        plan = ExecutionPlan(scheduler)
+        for phase, fn in (
+            ("forward", forward_once),
+            ("forward_backward", forward_backward_once),
+        ):
+            fn(plan)  # warmup, discarded
+            times = []
+            for _ in range(spec.repeats):
+                t0 = time.perf_counter()
+                fn(plan)
+                times.append((time.perf_counter() - t0) * 1000.0)
+            rows.append(
+                TimingRow(
+                    scheduler=scheduler,
+                    phase=phase,
+                    median_ms=statistics.median(times),
+                    p10_ms=float(np.percentile(times, 10)),
+                    p90_ms=float(np.percentile(times, 90)),
                 )
+            )
     return rows
 
 
 def write_bench_csv(rows, path):
     with open(path, "w") as f:
-        f.write("scheduler,unroll,phase,median_ms,p10_ms,p90_ms\n")
+        f.write("scheduler,phase,median_ms,p10_ms,p90_ms\n")
         for r in rows:
             f.write(
-                f"{r.scheduler},{r.unroll},{r.phase},"
+                f"{r.scheduler},{r.phase},"
                 f"{r.median_ms:.6g},{r.p10_ms:.6g},{r.p90_ms:.6g}\n"
             )
 
@@ -284,7 +279,6 @@ def _default_train_config():
         "optimizer": "adam",
         "seed": 0,
         "scheduler": "step_by_step",
-        "unroll": 1,
         "hidden": 64,
         "classes": 3,
         "n_in": 12,
@@ -295,7 +289,7 @@ def _default_train_config():
 
 
 def _train_from_config(cfg, data, metrics_path):
-    plan = ExecutionPlan(cfg["scheduler"], unroll=cfg.get("unroll", 1))
+    plan = ExecutionPlan(cfg["scheduler"])
     config = training.TrainConfig(
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
@@ -404,13 +398,16 @@ def cli(argv=None):
             rows = bench(spec)
             write_bench_csv(rows, args.out)
             for r in rows:
-                print(f"{r.scheduler} unroll={r.unroll} {r.phase}: {r.median_ms:.3f} ms")
+                print(f"{r.scheduler} {r.phase}: {r.median_ms:.3f} ms")
             return 0
         if args.command == "train":
             cfg = _default_train_config()
             if args.config:
                 with open(args.config) as f:
                     loaded = json.load(f)
+                unknown = sorted(set(loaded) - set(cfg))
+                if unknown:
+                    raise ValidationError(f"unknown train config keys {unknown}")
                 cfg.update(loaded)
             return _train_from_config(cfg, args.data, args.metrics)
         if args.command == "gradcheck":

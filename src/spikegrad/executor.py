@@ -5,11 +5,10 @@ Two schedulers compute the same discretized system:
 * step_by_step: outer loop over time, inner pass over the topological order.
   Delay-1 edges read the source's previous-step output (zeros at step 0), so
   arbitrary feedback is supported.
-* layer_by_layer: outer loop over layers; each stateful layer scans its full
-  T-step input before the next layer runs, and stateless layers apply to all
-  T steps in one batched call. Only valid for graphs without delay-1 edges.
-  The unroll factor replicates the scan body, trading loop iterations for
-  code straight-lining without changing any numerics.
+* layer_by_layer: outer loop over layers; each LIF layer runs its full
+  T-step input as one fused scan node (neurons.lif_scan) before the next
+  layer runs, and stateless layers apply to all T steps in one batched call.
+  Only valid for graphs without delay-1 edges.
 
 run_with_checkpointing stores only segment-boundary states during forward
 and replays each segment on a fresh tape during backward, continuing the
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .neurons import NeuronState, init_state, lif_smooth_step, lif_step
+from .neurons import NeuronState, init_state, lif_scan, lif_smooth_step, lif_step
 from .tensor import ShapeError, Tape, Tensor, ValidationError
 from .topology import topo_order
 
@@ -37,7 +36,6 @@ class PlanError(ValueError):
 @dataclass
 class ExecutionPlan:
     scheduler: str = "step_by_step"
-    unroll: int = 1
     checkpoint_every: int | None = None
 
     def __post_init__(self):
@@ -45,8 +43,6 @@ class ExecutionPlan:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
-        if self.unroll < 1:
-            raise ValidationError(f"unroll must be positive, got {self.unroll}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValidationError(
                 f"checkpoint_every must be positive, got {self.checkpoint_every}"
@@ -206,8 +202,7 @@ def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=F
                 "layer_by_layer cannot execute graphs with delay-1 feedback edges; "
                 "use step_by_step"
             )
-        return _run_layer_by_layer(graph, plan, input_spikes, init_states_map, params,
-                                   record_hidden)
+        return _run_layer_by_layer(graph, input_spikes, init_states_map, params, record_hidden)
     return _run_step_by_step(graph, input_spikes, init_states_map, params, record_hidden)
 
 
@@ -235,7 +230,7 @@ def _run_step_by_step(graph, input_spikes, init_states_map, params, record_hidde
     return states, record
 
 
-def _run_layer_by_layer(graph, plan, input_spikes, init_states_map, params, record_hidden):
+def _run_layer_by_layer(graph, input_spikes, init_states_map, params, record_hidden):
     ctx = _ExecContext(graph, params)
     t_total = input_spikes.shape[0]
     states = dict(init_states_map)
@@ -249,17 +244,7 @@ def _run_layer_by_layer(graph, plan, input_spikes, init_states_map, params, reco
             contribs.append(_edge_value(ctx, seqs[s], s, nid, batched=True))
         x = _merge(contribs, node.in_shape, graph.dtype, batched=True, rows=t_total)
         if node.stateful:
-            outs = []
-            state = states[nid]
-            t = 0
-            while t < t_total:
-                for _ in range(min(plan.unroll, t_total - t)):
-                    xt = _row(x, t, node.in_shape)
-                    state, out = _neuron_step(node, state, xt)
-                    outs.append(out)
-                    t += 1
-            states[nid] = state
-            seqs[nid] = ops.stack_rows(outs)
+            states[nid], seqs[nid] = lif_scan(states[nid], x, node.lif, node.smooth_sharpness)
         else:
             seqs[nid] = _apply_stateless_batched(ctx, node, x, t_total)
     record = SpikeRecord(

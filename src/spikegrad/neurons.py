@@ -9,8 +9,11 @@ current I, updated by the discrete recurrence
     U' = U_pre - thr * S'           (reset by subtraction, default)
        | U_pre * (1 - S')           (reset to zero)
 
-All branches, including the reset, stay on the tape, so gradients flow
-through the full unrolled recurrence.
+lif_step and lif_smooth_step record every op of one step on the tape, so
+gradients flow through the full unrolled recurrence; the step_by_step
+scheduler and checkpointing use them. lif_scan runs all T steps of one layer
+as a single fused tape node with a hand-written BPTT backward
+(ops.lif_scan); the layer_by_layer scheduler uses it.
 """
 
 from __future__ import annotations
@@ -95,6 +98,14 @@ def lif_smooth_step(state, input_current, params, sharpness):
     acts = ops.smooth_spike(u_pre, params.thr, params.surrogate, sharpness)
     u_new = _reset(u_pre, acts, params)
     return NeuronState(U=u_new, I=i_new, S=acts), acts
+
+
+def lif_scan(state, inputs, params, sharpness=None):
+    """lif_step over every row of inputs [T, ...] (lif_smooth_step when a
+    sharpness is given) as one fused tape node; returns (final state,
+    spikes [T, ...])."""
+    spikes, u, i, s = ops.lif_scan(inputs, state.U, state.I, params, sharpness)
+    return NeuronState(U=u, I=i, S=s), spikes
 
 
 def init_state(n, mode="zeros", rng_seed=0, lo=0.0, hi=1.0, dtype=None):

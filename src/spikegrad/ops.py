@@ -48,10 +48,20 @@ def _record(tape, tag, out_data, taped_inputs, backward_fn):
     return out
 
 
+def _scalar_like(x, other):
+    """A plain scalar operand takes the tensor operand's dtype, the way numpy
+    treats a Python float, so `1.0 - spikes` stays in the spikes' precision."""
+    if isinstance(other, Tensor) and np.ndim(x) == 0:
+        return Tensor(np.asarray(x, dtype=other.dtype))
+    return _as_tensor(x)
+
+
 def _split_ew(a, b):
     """Elementwise operand handling: returns (a, b, out_shape)."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
+    if not isinstance(a, Tensor):
+        a = _scalar_like(a, b)
+    if not isinstance(b, Tensor):
+        b = _scalar_like(b, a)
     if a.shape == b.shape:
         return a, b, a.shape
     if a.size == 1 or b.size == 1:
@@ -380,6 +390,108 @@ def smooth_spike(u, thr, surrogate, sharpness):
         return [g * surrogate.primitive_grad(x, sharpness).astype(g.dtype, copy=False)]
 
     return _record(tape, "smooth_spike", out, [u] if tape else [], bwd)
+
+
+def lif_scan(x, u0, i0, params, sharpness=None):
+    """Fused LIF recurrence over all T steps of x [T, ...].
+
+    params supplies alpha, beta, thr, surrogate and reset (a LIFParams).
+    Each step computes exactly what neurons.lif_step computes, with the same
+    expressions and dtypes; with a sharpness it computes lif_smooth_step.
+    Returns (spikes [T, ...], U_T, I_T, S_T).
+
+    On a tape the spike train is one node whose backward is a hand-written
+    BPTT through the recurrence; it saves only U_pre [T, ...] and evaluates
+    the surrogate once over it. U_T, I_T and S_T are small nodes on top of
+    the spike train: a gradient seeded on them reaches the scan's backward,
+    which starts the reverse recurrence from it.
+    """
+    x, u0, i0 = _as_tensor(x), _as_tensor(u0), _as_tensor(i0)
+    if x.ndim < 1 or x.shape[0] < 1 or x.shape[1:] != u0.shape or i0.shape != u0.shape:
+        raise ShapeError(
+            f"lif_scan expects x [T, *{u0.shape}] and state {u0.shape}, "
+            f"got x {x.shape}, U {u0.shape}, I {i0.shape}"
+        )
+    alpha, beta, thr = float(params.alpha), float(params.beta), float(params.thr)
+    surrogate, subtract = params.surrogate, params.reset == "subtract"
+    if sharpness is not None and not (sharpness > 0):
+        raise ValidationError(f"sharpness must be positive, got {sharpness}")
+    tape = _tape_of(x, u0, i0)
+    xd = x.data
+    dtype = np.result_type(xd, u0.data, i0.data)
+    u_pre = np.empty(xd.shape, dtype=dtype)
+    spikes = np.empty(xd.shape, dtype=dtype)
+    u, i = u0.data, i0.data
+    for t in range(xd.shape[0]):
+        i = i * beta + xd[t]
+        p = u_pre[t]
+        np.add(u * alpha, i, out=p)
+        if sharpness is None:
+            spikes[t] = p >= thr
+        else:
+            spikes[t] = surrogate.primitive(p - thr, sharpness)
+        s = spikes[t]
+        u = p - s * thr if subtract else p * (1.0 - s)
+    s_last = spikes[-1].copy()
+    if tape is None:
+        return Tensor(spikes), Tensor(u), Tensor(i), Tensor(s_last)
+
+    on_tape = [t.tape is tape for t in (x, u0, i0)]
+    taped = [t for t, on in zip((x, u0, i0), on_tape) if on]
+    # the closures below hold shapes and arrays only, never a Tensor, so a
+    # dropped tape is freed by reference counting without a cycle
+    seq_shape, state_shape = xd.shape, u0.shape
+    final = {}  # gradients seeded on U_T / I_T, consumed by the scan's backward
+
+    def bwd(g):
+        gdt = np.result_type(g, dtype)
+        d = u_pre - thr
+        if sharpness is None:
+            sg = surrogate(d).astype(gdt, copy=False)
+        else:
+            sg = surrogate.primitive_grad(d, sharpness).astype(gdt, copy=False)
+        # dL/dU_pre[t] = gU[t] * a[t] + b[t], where gU[t] is the gradient on
+        # the post-reset U[t]: b is the spike-train term through the
+        # surrogate, a the reset's direct path plus its path through S[t]
+        b = g * sg
+        if subtract:
+            a = 1.0 - thr * sg
+        else:
+            if sharpness is None:
+                s_all = (u_pre >= thr).astype(gdt)
+            else:
+                s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
+            a = (1.0 - s_all) - u_pre * sg
+        gu = final.pop("U", None)
+        gi = final.pop("I", None)
+        gu = np.zeros(state_shape, gdt) if gu is None else gu
+        gi = np.zeros(state_shape, gdt) if gi is None else gi
+        gx = np.empty(seq_shape, dtype=np.result_type(gdt, gu, gi))
+        for t in range(seq_shape[0] - 1, -1, -1):
+            dp = gu * a[t] + b[t]
+            di = np.add(dp, gi, out=gx[t])
+            gu = dp * alpha
+            gi = di * beta
+        return [g for g, on in zip((gx, gu, gi), on_tape) if on]
+
+    out = _record(tape, "lif_scan", spikes, taped, bwd)
+
+    def seed_final(key):
+        def bwd_final(g):
+            final[key] = g
+            return [np.zeros(seq_shape, dtype=np.result_type(g, dtype))]
+
+        return bwd_final
+
+    def bwd_s(g):
+        full = np.zeros(seq_shape, dtype=np.result_type(g, dtype))
+        full[-1] = g
+        return [full]
+
+    u_t = _record(tape, "lif_scan_u", u, [out], seed_final("U"))
+    i_t = _record(tape, "lif_scan_i", i, [out], seed_final("I"))
+    s_t = _record(tape, "lif_scan_s", s_last, [out], bwd_s)
+    return out, u_t, i_t, s_t
 
 
 def softmax_cross_entropy(logits, target):

@@ -7,6 +7,7 @@ import pytest
 
 from spikegrad import topology
 from spikegrad.benchcli import (
+    CNN_CLASSES,
     BenchSpec,
     TimingRow,
     bench,
@@ -99,17 +100,16 @@ class TestBenchSpec:
 
     def test_from_json_roundtrip(self):
         spec = BenchSpec.from_json({"version": 1, "arch": "mlp", "width": 32,
-                                    "unrolls": [1, 4]})
-        assert spec.width == 32 and spec.unrolls == (1, 4)
+                                    "schedulers": ["layer_by_layer"]})
+        assert spec.width == 32 and spec.schedulers == ("layer_by_layer",)
 
     def test_timing_row_percentile_order(self):
         with pytest.raises(ValidationError):
-            TimingRow("step_by_step", 1, "forward", 1.0, 2.0, 3.0)
+            TimingRow("step_by_step", "forward", 1.0, 2.0, 3.0)
 
 
 def small_spec(**kw):
-    return BenchSpec(width=4, depth=1, n_in=4, steps=3, batch_size=1, repeats=3,
-                     unrolls=(1, 2), **kw)
+    return BenchSpec(width=4, depth=1, n_in=4, steps=3, batch_size=1, repeats=3, **kw)
 
 
 class TestBench:
@@ -118,24 +118,25 @@ class TestBench:
         assert g.nodes[-1].out_shape == (4,)
         g = build_bench_graph(BenchSpec(arch="cnn", depth=1, channels=4,
                                         image_size=8, steps=2))
-        assert g.nodes[-1].out_shape == (4, 8, 8)
+        assert g.nodes[1].out_shape == (4, 8, 8)
+        assert g.nodes[-1].out_shape == (CNN_CLASSES,)
 
     def test_bench_rows(self):
         rows = bench(small_spec())
-        # step_by_step: 1 unroll x 2 phases; layer_by_layer: 2 unrolls x 2 phases
-        assert len(rows) == 2 + 4
+        # 2 schedulers x 2 phases
+        assert len(rows) == 4
         for r in rows:
             assert r.median_ms > 0
             assert r.p10_ms <= r.median_ms <= r.p90_ms
         assert {r.phase for r in rows} == {"forward", "forward_backward"}
 
     def test_write_csv(self, tmp_path):
-        rows = [TimingRow("step_by_step", 1, "forward", 2.0, 1.5, 2.5)]
+        rows = [TimingRow("step_by_step", "forward", 2.0, 1.5, 2.5)]
         path = tmp_path / "bench.csv"
         write_bench_csv(rows, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "scheduler,unroll,phase,median_ms,p10_ms,p90_ms"
-        assert lines[1] == "step_by_step,1,forward,2,1.5,2.5"
+        assert lines[0] == "scheduler,phase,median_ms,p10_ms,p90_ms"
+        assert lines[1] == "step_by_step,forward,2,1.5,2.5"
 
 
 class TestGradcheckRun:
@@ -163,11 +164,35 @@ class TestCli:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
             "width": 4, "depth": 1, "n_in": 4, "steps": 3,
-            "batch_size": 1, "repeats": 3, "unrolls": [1],
+            "batch_size": 1, "repeats": 3,
         }))
         out = tmp_path / "bench.csv"
         assert cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
-        assert out.read_text().startswith("scheduler,unroll,phase")
+        assert out.read_text().startswith("scheduler,phase")
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    def test_bench_each_arch_exits_0(self, arch, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "arch": arch, "width": 4, "channels": 2, "depth": 1, "n_in": 4,
+            "in_channels": 1, "image_size": 4, "steps": 3,
+            "batch_size": 1, "repeats": 3,
+        }))
+        out = tmp_path / "bench.csv"
+        assert cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert {tuple(r.split(",")[:2]) for r in rows} == {
+            (s, p) for s in ("step_by_step", "layer_by_layer")
+            for p in ("forward", "forward_backward")
+        }
+        assert "layer_by_layer forward_backward" in capsys.readouterr().out
+
+    def test_bench_spec_unrolls_key_rejected(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"unrolls": [1, 8]}))
+        code = cli(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert "unrolls" in capsys.readouterr().err
 
     def test_train_toy_exits_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "train.json"
@@ -180,6 +205,12 @@ class TestCli:
         assert code == 0
         assert metrics.read_text().startswith("epoch,mean_loss,accuracy,wall_ms")
         assert "trained 1 epochs" in capsys.readouterr().out
+
+    def test_train_unknown_config_key_exits_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "unroll": 8}))
+        assert cli(["train", "--config", str(cfg_path)]) == 1
+        assert "unroll" in capsys.readouterr().err
 
     def test_train_missing_config_file_exits_1(self, tmp_path):
         assert cli(["train", "--config", str(tmp_path / "nope.json")]) == 1

@@ -1,4 +1,4 @@
-"""Schedulers, unrolling, delayed feedback, and gradient checkpointing."""
+"""Schedulers, the fused layer_by_layer scan, delayed feedback, and gradient checkpointing."""
 
 import numpy as np
 import pytest
@@ -36,10 +36,6 @@ class TestPlanValidation:
     def test_bad_scheduler(self):
         with pytest.raises(ValidationError):
             ExecutionPlan("depth_first")
-
-    def test_bad_unroll(self):
-        with pytest.raises(ValidationError):
-            ExecutionPlan(unroll=0)
 
     def test_bad_checkpoint(self):
         with pytest.raises(ValidationError):
@@ -126,19 +122,14 @@ class TestSchedulerEquivalence:
         _, b = run(g, ExecutionPlan("layer_by_layer"), x, init_states(g))
         assert np.allclose(a.outputs[3].data, b.outputs[3].data, atol=1e-6)
 
-    def test_unroll_factors_bit_identical(self):
+    def test_layer_by_layer_one_scan_node_per_lif_layer(self):
         g = mlp(seed=2)
-        rng = np.random.default_rng(1)
-        x = (rng.random((20, 4)) < 0.3).astype(np.float64)
-        ref = None
-        for unroll in (1, 2, 4, 8):
-            _, rec = run(g, ExecutionPlan("layer_by_layer", unroll=unroll), x,
-                         init_states(g))
-            out = rec.outputs[3].data
-            if ref is None:
-                ref = out
-            else:
-                assert np.array_equal(out, ref)
+        tape = Tape()
+        params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
+        x = (np.random.default_rng(1).random((30, 4)) < 0.3).astype(np.float64)
+        run(g, ExecutionPlan("layer_by_layer"), x, init_states(g), params=params)
+        assert tape._tags.count("lif_scan") == len(g.stateful_nodes())
+        assert "threshold" not in tape._tags and "stack_rows" not in tape._tags
 
     def test_layer_by_layer_rejects_feedback(self):
         g = sequential_recurrent(
@@ -156,7 +147,7 @@ class TestSchedulerEquivalence:
         batch = [((rng.random((15, 4)) < 0.4).astype(np.float64),
                   np.array([0.0, 1.0, 0.0]))]
         _, ga = loss_and_grad(g, ExecutionPlan("step_by_step"), batch)
-        _, gb = loss_and_grad(g, ExecutionPlan("layer_by_layer", unroll=4), batch)
+        _, gb = loss_and_grad(g, ExecutionPlan("layer_by_layer"), batch)
         for name in ga:
             denom = max(np.abs(ga[name]).max(), 1e-12)
             assert np.abs(ga[name] - gb[name]).max() / denom < 1e-10

@@ -1,12 +1,23 @@
-"""LIF cell behavior: hand-evaluated steps, decay laws, smooth-twin checks."""
+"""LIF cell behavior: hand-evaluated steps, decay laws, smooth-twin checks,
+and the fused scan against unrolled steps."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikegrad import ops
-from spikegrad.neurons import LIFParams, NeuronState, init_state, lif_smooth_step, lif_step
-from spikegrad.surrogates import SurrogateFn
+from spikegrad.neurons import (
+    LIFParams,
+    NeuronState,
+    init_state,
+    lif_scan,
+    lif_smooth_step,
+    lif_step,
+)
+from spikegrad.surrogates import SURROGATE_TAGS, SurrogateFn
 from spikegrad.tensor import ShapeError, Tape, Tensor, ValidationError
 
 
@@ -146,6 +157,133 @@ class TestSmoothTwin:
                 ) / (2 * eps)
         rel = np.abs(ad - fd).max() / max(np.abs(fd).max(), 1e-12)
         assert rel < 1e-4
+
+
+def _taped_state(tape, u, i, dtype):
+    return NeuronState(U=tape.leaf(u), I=tape.leaf(i), S=Tensor(np.zeros(u.shape, dtype=dtype)))
+
+
+def _unrolled(state, x, p, sharpness):
+    """Reference: one lif_step (or lif_smooth_step) per row, then stack."""
+    outs = []
+    for t in range(x.shape[0]):
+        xt = ops.reshape(ops.slice_rows(x, t, t + 1), x.shape[1:])
+        if sharpness is None:
+            state, s = lif_step(state, xt, p)
+        else:
+            state, s = lif_smooth_step(state, xt, p, sharpness)
+        outs.append(s)
+    return state, ops.stack_rows(outs)
+
+
+def _rel(a, b):
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-30))
+
+
+class TestLifScan:
+    """lif_scan against lif_step / lif_smooth_step unrolled on the tape:
+    spikes and final state bit-identical, gradients within 1e-10 (float64)
+    or 1e-5 (float32) relative error."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sharpness", [None, 8.0])
+    @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
+    @pytest.mark.parametrize("tag", SURROGATE_TAGS)
+    def test_matches_unrolled_steps(self, tag, reset, sharpness, dtype):
+        t_steps, shape = 25, (3, 4)
+        rng = np.random.default_rng(7)
+        p = LIFParams(surrogate=SurrogateFn(tag), reset=reset)
+        st0 = init_state(shape, mode="uniform", rng_seed=3, dtype=dtype)
+        x0 = rng.uniform(-0.5, 1.5, (t_steps,) + shape).astype(dtype)
+        seeds = [rng.normal(size=(t_steps,) + shape).astype(dtype)] + [
+            rng.normal(size=shape).astype(dtype) for _ in range(3)
+        ]
+        results = []
+        for fn in (_unrolled, lif_scan):
+            tape = Tape()
+            x = tape.leaf(x0)
+            st = _taped_state(tape, st0.U.data, st0.I.data, dtype)
+            final, spikes = fn(st, x, p, sharpness)
+            outs = (spikes, final.U, final.I, final.S)
+            grads = tape.grads_from_seeds({o.node_id: g for o, g in zip(outs, seeds)})
+            results.append(([o.data for o in outs],
+                            [grads[t.node_id] for t in (x, st.U, st.I)]))
+        (ref_out, ref_grads), (got_out, got_grads) = results
+        for got, ref in zip(got_out, ref_out):
+            assert got.dtype == ref.dtype == dtype
+            assert np.array_equal(got, ref)
+        tol = 1e-10 if dtype == np.float64 else 1e-5
+        for got, ref in zip(got_grads, ref_grads):
+            assert _rel(got, ref) < tol
+
+    @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
+    def test_final_state_seed_alone_reaches_initial_state(self, reset):
+        # only I_0 on the tape and only U_T seeded: the gradient still runs
+        # the whole reverse recurrence and lands in the right slot
+        p = LIFParams(reset=reset)
+        rng = np.random.default_rng(2)
+        x = Tensor(rng.uniform(0.0, 1.2, (10, 5)))
+        u0 = rng.uniform(0.0, 1.0, 5)
+        i0 = rng.uniform(0.0, 1.0, 5)
+        seed = rng.normal(size=5)
+        grads = []
+        for fn in (_unrolled, lif_scan):
+            tape = Tape()
+            i_leaf = tape.leaf(i0)
+            st = NeuronState(U=Tensor(u0), I=i_leaf, S=Tensor(np.zeros(5)))
+            final, _ = fn(st, x, p, None)
+            grads.append(tape.grads_from_seeds({final.U.node_id: seed})[i_leaf.node_id])
+        assert np.abs(grads[1]).max() > 0
+        assert _rel(grads[1], grads[0]) < 1e-10
+
+    def test_one_tape_node_for_the_spike_train(self):
+        tape = Tape()
+        x = tape.leaf(np.full((50, 4), 0.6))
+        before = len(tape)
+        _, spikes = lif_scan(init_state(4, dtype=np.float64), x, params())
+        # the scan node plus one node each for U_T, I_T and S_T
+        assert len(tape) - before == 4
+        assert tape._tags[spikes.node_id] == "lif_scan"
+
+    def test_dropped_tape_freed_without_cycle_collector(self):
+        # a reference cycle through the backward closure would keep every
+        # training step's tape alive until the next gc pass
+        gc.disable()
+        try:
+            tape = Tape()
+            x = tape.leaf(np.full((5, 3), 0.6))
+            lif_scan(init_state(3, dtype=np.float64), x, params())
+            ref = weakref.ref(tape)
+            del tape, x
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_untaped_scan_records_nothing(self):
+        final, spikes = lif_scan(init_state(3), Tensor(np.ones((5, 3), dtype=np.float32)),
+                                 params())
+        assert spikes.tape is None and final.U.tape is None
+        assert spikes.shape == (5, 3)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            lif_scan(init_state(3), Tensor(np.zeros((5, 4))), params())
+        with pytest.raises(ShapeError):
+            lif_scan(init_state(3), Tensor(np.zeros(3)), params())
+
+
+class TestResetDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
+    def test_state_keeps_precision(self, reset, dtype):
+        p = params(reset=reset)
+        st0 = init_state(4, mode="uniform", rng_seed=1, dtype=dtype)
+        x = Tensor(np.full(4, 0.7, dtype=dtype))
+        st1, spikes = lif_step(st0, x, p)
+        st2, acts = lif_smooth_step(st0, x, p, 10.0)
+        st3, train = lif_scan(st0, ops.reshape(x, (1, 4)), p)
+        for t in (st1.U, st1.I, spikes, st2.U, st2.I, acts, st3.U, st3.I, st3.S, train):
+            assert t.dtype == dtype
 
 
 class TestInitState:

@@ -150,6 +150,12 @@ class TestElementwise:
         assert ops.add(x, 1.0).data.tolist() == [2.0, 3.0]
         assert ops.sub(1.0, x).data.tolist() == [0.0, -1.0]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_operand_takes_tensor_dtype(self, dtype):
+        x = Tensor(np.array([0.0, 1.0], dtype=dtype))
+        for out in (ops.sub(1.0, x), ops.add(x, 2), ops.mul(np.float64(0.5), x)):
+            assert out.dtype == dtype
+
     def test_bad_broadcast_rejected(self):
         with pytest.raises(ShapeError):
             ops.add(Tensor(np.ones(3)), Tensor(np.ones(4)))

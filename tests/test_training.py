@@ -153,6 +153,24 @@ class TestFdGradient:
         report = compare_gradients(ad, fd, threshold=1e-4)
         assert report.passed, report.summary()
 
+    def test_matches_ad_through_layer_by_layer(self):
+        # FD oracle for the fused scan's hand-written backward: smooth float64
+        # graph, one subtract and one to_zero layer, random initial states
+        g = sequential(
+            [linear_layer(5, in_features=3), lif_layer(5, smooth_sharpness=20.0),
+             linear_layer(2),
+             lif_layer(2, params=LIFParams(reset="to_zero"), smooth_sharpness=20.0)],
+            input_shape=(3,), seed=4, dtype=np.float64,
+        )
+        plan = ExecutionPlan("layer_by_layer")
+        rng = np.random.default_rng(6)
+        batch = [(rng.uniform(-1.0, 2.0, (8, 3)), np.array([1.0, 0.0])),
+                 (rng.uniform(-1.0, 2.0, (8, 3)), np.array([0.0, 1.0]))]
+        _, ad = loss_and_grad(g, plan, batch, init_mode="uniform", init_seed=2)
+        fd = fd_gradient(g, plan, batch, eps=1e-6, init_mode="uniform", init_seed=2)
+        report = compare_gradients(ad, fd, threshold=1e-4)
+        assert report.passed, report.summary()
+
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValidationError):
             fd_gradient(smooth_mlp(), ExecutionPlan(), [(np.ones((2, 3)), np.array([1.0, 0.0]))],

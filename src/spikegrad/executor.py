@@ -1,28 +1,33 @@
 """Time-loop evaluation of a network graph.
 
-Two schedulers compute the same discretized system:
+One node function, _step, evaluates every node in topological order over a
+slab of rows [rows, ...]: LIF nodes run neurons.lif_scan over the rows,
+linear nodes one matmul, conv nodes one conv2d_batched, flatten a reshape.
+The two schedulers compute the same discretized system and differ only in
+loop order:
 
-* step_by_step: outer loop over time, inner pass over the topological order.
-  Delay-1 edges read the source's previous-step output (zeros at step 0), so
+* layer_by_layer: one _step call over all T rows, so each LIF layer is one
+  fused scan node. Only valid for graphs without delay-1 edges.
+* step_by_step: one _step call per time step with a one-row slab. Delay-1
+  edges read the source's previous-step output (zeros at step 0), so
   arbitrary feedback is supported.
-* layer_by_layer: outer loop over layers; each LIF layer runs its full
-  T-step input as one fused scan node (neurons.lif_scan) before the next
-  layer runs, and stateless layers apply to all T steps in one batched call.
-  Only valid for graphs without delay-1 edges.
 
 run_with_checkpointing stores only segment-boundary states during forward
-and replays each segment on a fresh tape during backward, continuing the
-gradient accumulation so results are bit-identical to full BPTT.
+and replays each segment of step_by_step on a fresh tape during backward,
+continuing the gradient accumulation so results are bit-identical to full
+BPTT.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ops
-from .neurons import NeuronState, init_state, lif_scan, lif_smooth_step, lif_step
+from .neurons import NeuronState, init_state, lif_scan
+from .neurons import lif_step  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 from .tensor import ShapeError, Tape, Tensor, ValidationError
 from .topology import topo_order
 
@@ -86,35 +91,24 @@ class _ExecContext:
 
     def zero_prev(self):
         return {
-            s: Tensor(np.zeros(self.graph.node(s).out_shape, dtype=self.graph.dtype))
+            s: Tensor(np.zeros((1,) + self.graph.node(s).out_shape, dtype=self.graph.dtype))
             for s in self.delay1_sources
         }
 
 
-def _coerce(value, in_shape, batched):
-    target = ((value.shape[0],) + tuple(in_shape)) if batched else tuple(in_shape)
-    if value.shape == target:
-        return value
-    if int(np.prod(value.shape)) == int(np.prod(target)):
-        return ops.reshape(value, target)
-    raise ShapeError(f"cannot merge value of shape {value.shape} into input {target}")
-
-
-def _edge_value(ctx, value, src, dst, batched):
+def _edge_value(ctx, value, src, dst):
     graph = ctx.graph
     proj = ctx.params.get(graph.proj_name(src, dst))
-    in_shape = graph.node(dst).in_shape
+    rows = value.shape[0]
+    shape = (rows,) + graph.node(dst).in_shape
     if proj is None:
-        return _coerce(value, in_shape, batched)
-    flat = int(np.prod(graph.node(src).out_shape))
-    rows = value.shape[0] if batched else 1
-    v = ops.matmul(ops.reshape(value, (rows, flat)), proj)
-    return ops.reshape(v, ((rows,) + tuple(in_shape)) if batched else tuple(in_shape))
+        return ops.reshape(value, shape)
+    flat = math.prod(graph.node(src).out_shape)
+    return ops.reshape(ops.matmul(ops.reshape(value, (rows, flat)), proj), shape)
 
 
-def _merge(contribs, in_shape, dtype, batched, rows=1):
+def _merge(contribs, shape, dtype):
     if not contribs:
-        shape = ((rows,) + tuple(in_shape)) if batched else tuple(in_shape)
         return Tensor(np.zeros(shape, dtype=dtype))
     x = contribs[0]
     for c in contribs[1:]:
@@ -122,59 +116,38 @@ def _merge(contribs, in_shape, dtype, batched, rows=1):
     return x
 
 
-def _apply_stateless_step(ctx, node, x):
+def _apply_stateless(ctx, node, x):
+    rows = x.shape[0]
     if node.kind == "linear":
         w = ctx.params[ctx.graph.param_name(node.id)]
-        y = ops.matmul(ops.reshape(x, (1, node.in_features)), w)
-        return ops.reshape(y, node.out_shape)
-    if node.kind == "conv":
-        w = ctx.params[ctx.graph.param_name(node.id)]
-        return ops.conv2d(x, w, stride=node.stride, padding=node.padding)
-    if node.kind == "flatten":
-        return ops.reshape(x, node.out_shape)
-    raise ValidationError(f"cannot apply layer kind {node.kind!r}")
-
-
-def _apply_stateless_batched(ctx, node, x, t):
-    if node.kind == "linear":
-        w = ctx.params[ctx.graph.param_name(node.id)]
-        y = ops.matmul(ops.reshape(x, (t, node.in_features)), w)
-        return ops.reshape(y, (t,) + node.out_shape)
+        y = ops.matmul(ops.reshape(x, (rows, node.in_features)), w)
+        return ops.reshape(y, (rows,) + node.out_shape)
     if node.kind == "conv":
         w = ctx.params[ctx.graph.param_name(node.id)]
         return ops.conv2d_batched(x, w, stride=node.stride, padding=node.padding)
     if node.kind == "flatten":
-        return ops.reshape(x, (t,) + node.out_shape)
+        return ops.reshape(x, (rows,) + node.out_shape)
     raise ValidationError(f"cannot apply layer kind {node.kind!r}")
 
 
-def _neuron_step(node, state, x):
-    if node.smooth_sharpness is not None:
-        return lif_smooth_step(state, x, node.lif, node.smooth_sharpness)
-    return lif_step(state, x, node.lif)
-
-
-def _row(x, t, shape):
-    return ops.reshape(ops.slice_rows(x, t, t + 1), shape)
-
-
-def _step(ctx, states, prev, xt):
-    """One synchronous time step; returns {node id: output tensor}."""
+def _step(ctx, states, prev, x):
+    """Every node over the slab x [rows, ...]: all T steps for layer_by_layer,
+    one step for step_by_step. Delay-1 edges read prev; returns {node id:
+    output [rows, ...]}."""
+    rows = x.shape[0]
     cur = {}
     for nid in ctx.order:
         node = ctx.graph.node(nid)
-        contribs = []
-        if nid in ctx.inputs:
-            contribs.append(_coerce(xt, node.in_shape, batched=False))
+        shape = (rows,) + node.in_shape
+        contribs = [ops.reshape(x, shape)] if nid in ctx.inputs else []
         for s, dl in ctx.in_edges[nid]:
             v = cur[s] if dl == 0 else prev[s]
-            contribs.append(_edge_value(ctx, v, s, nid, batched=False))
-        x = _merge(contribs, node.in_shape, ctx.graph.dtype, batched=False)
+            contribs.append(_edge_value(ctx, v, s, nid))
+        merged = _merge(contribs, shape, ctx.graph.dtype)
         if node.stateful:
-            states[nid], out = _neuron_step(node, states[nid], x)
+            states[nid], cur[nid] = lif_scan(states[nid], merged, node.lif, node.smooth_sharpness)
         else:
-            out = _apply_stateless_step(ctx, node, x)
-        cur[nid] = out
+            cur[nid] = _apply_stateless(ctx, node, merged)
     return cur
 
 
@@ -196,63 +169,42 @@ def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=F
     if not isinstance(input_spikes, Tensor):
         input_spikes = Tensor(input_spikes)
     _validate_run_args(graph, input_spikes, init_states_map)
+    ctx = _ExecContext(graph, params)
+    states = dict(init_states_map)
+    traced = ctx.order if record_hidden else graph.output_nodes
     if plan.scheduler == "layer_by_layer":
         if graph.has_delay_edges():
             raise PlanError(
                 "layer_by_layer cannot execute graphs with delay-1 feedback edges; "
                 "use step_by_step"
             )
-        return _run_layer_by_layer(graph, input_spikes, init_states_map, params, record_hidden)
-    return _run_step_by_step(graph, input_spikes, init_states_map, params, record_hidden)
-
-
-def _run_step_by_step(graph, input_spikes, init_states_map, params, record_hidden):
-    ctx = _ExecContext(graph, params)
-    t_total = input_spikes.shape[0]
-    states = dict(init_states_map)
-    prev = ctx.zero_prev()
-    traced = ctx.order if record_hidden else graph.output_nodes
-    traces = {nid: [] for nid in traced}
-    row_shape = input_spikes.shape[1:]
-    for t in range(t_total):
-        xt = _row(input_spikes, t, row_shape)
-        cur = _step(ctx, states, prev, xt)
-        for nid in traced:
-            traces[nid].append(cur[nid])
-        for s in ctx.delay1_sources:
-            prev[s] = cur[s]
-    stacked = {nid: ops.stack_rows(vals) for nid, vals in traces.items()}
-    record = SpikeRecord(
-        outputs={nid: stacked[nid] for nid in graph.output_nodes},
-        hidden=stacked if record_hidden else None,
-        steps=t_total,
-    )
-    return states, record
-
-
-def _run_layer_by_layer(graph, input_spikes, init_states_map, params, record_hidden):
-    ctx = _ExecContext(graph, params)
-    t_total = input_spikes.shape[0]
-    states = dict(init_states_map)
-    seqs = {}
-    for nid in ctx.order:
-        node = graph.node(nid)
-        contribs = []
-        if nid in ctx.inputs:
-            contribs.append(_coerce(input_spikes, node.in_shape, batched=True))
-        for s, _ in ctx.in_edges[nid]:
-            contribs.append(_edge_value(ctx, seqs[s], s, nid, batched=True))
-        x = _merge(contribs, node.in_shape, graph.dtype, batched=True, rows=t_total)
-        if node.stateful:
-            states[nid], seqs[nid] = lif_scan(states[nid], x, node.lif, node.smooth_sharpness)
-        else:
-            seqs[nid] = _apply_stateless_batched(ctx, node, x, t_total)
+        seqs = _step(ctx, states, {}, input_spikes)
+    else:
+        seqs = _run_steps(ctx, states, input_spikes, traced)
     record = SpikeRecord(
         outputs={nid: seqs[nid] for nid in graph.output_nodes},
-        hidden=dict(seqs) if record_hidden else None,
-        steps=t_total,
+        hidden={nid: seqs[nid] for nid in traced} if record_hidden else None,
+        steps=input_spikes.shape[0],
     )
     return states, record
+
+
+def _run_steps(ctx, states, input_spikes, traced):
+    """step_by_step: _step once per one-row slab; returns {traced node id:
+    its [1, ...] outputs joined into [T, ...]}."""
+    t_total = input_spikes.shape[0]
+    prev = ctx.zero_prev()
+    rows = {nid: [] for nid in traced}
+    for t in range(t_total):
+        cur = _step(ctx, states, prev, ops.slice_rows(input_spikes, t, t + 1))
+        for nid in traced:
+            rows[nid].append(cur[nid])
+        for s in ctx.delay1_sources:
+            prev[s] = cur[s]
+    return {
+        nid: ops.reshape(ops.stack_rows(vals), (t_total,) + vals[0].shape[1:])
+        for nid, vals in rows.items()
+    }
 
 
 def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head):
@@ -279,7 +231,6 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     if len(graph.output_nodes) != 1:
         raise ValidationError("checkpointed loss heads support exactly one output node")
     out_node = graph.output_nodes[0]
-    row_shape = input_spikes.shape[1:]
     input_np = Tensor(input_spikes.data)  # detached copy, never taped
 
     # forward without a tape: keep only boundary snapshots and output rows
@@ -291,13 +242,14 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     for t in range(t_total):
         if t % k == 0:
             boundaries.append((t, dict(states), dict(prev)))
-        cur = _step(ctx, states, prev, _row(input_np, t, row_shape))
-        out_rows.append(cur[out_node].data)
+        cur = _step(ctx, states, prev, ops.slice_rows(input_np, t, t + 1))
+        out_rows.append(cur[out_node].data[0])
         for s in ctx.delay1_sources:
             prev[s] = cur[s]
 
     logits = np.sum(np.stack(out_rows), axis=0)
     loss, dlogits = loss_head.loss_and_logit_grad(logits)
+    dlogits = dlogits[None]  # each step's output is a [1, C] row
 
     # backward, one segment at a time, newest first
     param_names = sorted(graph.params)
@@ -333,7 +285,7 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
                 seeds[nid] = np.array(g, copy=True)
 
         for t in range(t0, t1):
-            cur = _step(seg_ctx, states_t, prev_t, _row(input_np, t, row_shape))
+            cur = _step(seg_ctx, states_t, prev_t, ops.slice_rows(input_np, t, t + 1))
             seed_add(cur[out_node].node_id, dlogits)
             for s in seg_ctx.delay1_sources:
                 prev_t[s] = cur[s]

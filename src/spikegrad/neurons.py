@@ -9,11 +9,12 @@ current I, updated by the discrete recurrence
     U' = U_pre - thr * S'           (reset by subtraction, default)
        | U_pre * (1 - S')           (reset to zero)
 
-lif_step and lif_smooth_step record every op of one step on the tape, so
-gradients flow through the full unrolled recurrence; the step_by_step
-scheduler and checkpointing use them. lif_scan runs all T steps of one layer
-as a single fused tape node with a hand-written BPTT backward
-(ops.lif_scan); the layer_by_layer scheduler uses it.
+lif_scan runs the recurrence over every row of its input as a single fused
+tape node with a hand-written BPTT backward (ops.lif_scan); the executor
+uses it for every LIF layer, over all T rows in layer_by_layer and over one
+row per step in step_by_step and checkpointing. lif_step and
+lif_smooth_step record every op of one step on the tape; they are the
+per-step reference that lif_scan is tested against.
 """
 
 from __future__ import annotations

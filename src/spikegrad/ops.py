@@ -10,6 +10,8 @@ else raises ShapeError so every backward rule stays trivially auditable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import ShapeError, Tensor, ValidationError
@@ -157,9 +159,14 @@ def sum_all(t):
 
 
 def reshape(t, shape):
+    """t viewed as shape; t itself, with no tape node, when the shape matches."""
     t = _as_tensor(t)
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != t.size:
+    # the identity check runs first and math.prod, not np.prod, sizes the
+    # rest: the executor reshapes every edge value of every step through here
+    if shape == t.shape:
+        return t
+    if math.prod(shape) != t.size:
         raise ShapeError(f"cannot reshape {t.shape} to {shape}")
     tape = _tape_of(t)
     in_shape = t.shape
@@ -494,26 +501,31 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     return out, u_t, i_t, s_t
 
 
-def softmax_cross_entropy(logits, target):
-    """-log softmax(logits)[class] for a one-hot target, max-stabilized."""
-    logits = _as_tensor(logits)
-    target = _as_tensor(target)
+def softmax_ce_and_grad(logits, target):
+    """Closed form on numpy arrays: (-log softmax(logits)[class], p - target)
+    for 1-d logits and a one-hot target, max-stabilized."""
     if logits.ndim != 1 or target.shape != logits.shape:
         raise ShapeError(
             f"expected matching 1-d logits/target, got {logits.shape} and {target.shape}"
         )
     if logits.shape[0] < 2:
         raise ValidationError("softmax_cross_entropy needs at least 2 classes")
-    td = target.data
-    if not (np.all((td == 0.0) | (td == 1.0)) and np.sum(td) == 1.0):
+    if not (np.all((target == 0.0) | (target == 1.0)) and np.sum(target) == 1.0):
         raise ValidationError("target must be one-hot")
-    tape = _tape_of(logits)  # target is a label, never differentiated
-    z = logits.data - np.max(logits.data)
+    z = logits - np.max(logits)
     ez = np.exp(z)
     p = ez / np.sum(ez)
-    loss = np.log(np.sum(ez)) - z[np.argmax(td)]
+    return np.log(np.sum(ez)) - z[np.argmax(target)], p - target
+
+
+def softmax_cross_entropy(logits, target):
+    """-log softmax(logits)[class] for a one-hot target, max-stabilized."""
+    logits = _as_tensor(logits)
+    target = _as_tensor(target)  # a label, never differentiated
+    loss, dlogits = softmax_ce_and_grad(logits.data, target.data)
+    tape = _tape_of(logits)
 
     def bwd(g):
-        return [(p - td) * np.asarray(g).reshape(())]
+        return [dlogits * np.asarray(g).reshape(())]
 
     return _record(tape, "softmax_ce", np.asarray(loss), [logits] if tape else [], bwd)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import executor, ops
-from .executor import ExecutionPlan
+from .executor import ExecutionPlan, PlanError
 from .tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
 
 
@@ -79,13 +79,8 @@ class SpikeCountCELoss:
     def loss_and_logit_grad(self, logits):
         """Loss and d(loss)/d(logits) for a plain count vector."""
         logits = np.asarray(logits)
-        tape = Tape()
-        lg = tape.leaf(logits)
-        loss = ops.softmax_cross_entropy(lg, Tensor(self.target, dtype=logits.dtype))
-        grads = tape.grads_from_seeds(
-            {loss.node_id: np.ones(loss.shape, dtype=logits.dtype)}
-        )
-        return float(loss.data), grads[lg.node_id]
+        loss, dlogits = ops.softmax_ce_and_grad(logits, self.target.astype(logits.dtype))
+        return float(loss), dlogits
 
 
 def spike_count_ce_loss(record, target):
@@ -118,22 +113,37 @@ def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed):
     return float(loss.data), named, logits
 
 
-def loss_and_grad(graph, plan, batch, init_mode="zeros", init_seed=0):
-    """Batch-mean loss and parameter gradients (deterministic ordered sums)."""
-    if not batch:
-        raise ValidationError("batch must be nonempty")
-    n = len(batch)
+def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed):
+    """Batch-mean loss, batch-mean gradients and each sample's logits, from
+    ordered per-sample sums so the result is deterministic."""
+    if plan.checkpoint_every is not None:
+        raise PlanError(
+            "training runs a full tape and cannot honour checkpoint_every; "
+            "use executor.run_with_checkpointing"
+        )
     total_loss = 0.0
     total = None
+    logits = []
     for inputs, target in batch:
-        loss, named, _ = _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed)
+        loss, named, sample_logits = _sample_loss_and_grad(
+            graph, plan, inputs, target, init_mode, init_seed
+        )
         total_loss += loss
+        logits.append(sample_logits)
         if total is None:
             total = named
         else:
             total = {k: total[k] + named[k] for k in total}
-    mean_grads = {k: v / n for k, v in total.items()}
-    return total_loss / n, mean_grads
+    n = len(batch)
+    return total_loss / n, {k: v / n for k, v in total.items()}, logits
+
+
+def loss_and_grad(graph, plan, batch, init_mode="zeros", init_seed=0):
+    """Batch-mean loss and parameter gradients (deterministic ordered sums)."""
+    if not batch:
+        raise ValidationError("batch must be nonempty")
+    loss, grads, _ = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed)
+    return loss, grads
 
 
 def _batch_mean_loss(graph, plan, batch, init_mode, init_seed, params_arrays=None):
@@ -266,25 +276,14 @@ def train(graph, dataset, config, stop_at_accuracy=None, log_every=None):
         for b0 in range(0, len(dataset), config.batch_size):
             idx = perm[b0 : b0 + config.batch_size]
             batch = [dataset[i] for i in idx]
-            batch_loss = 0.0
-            total = None
-            for inputs, target in batch:
-                loss, named, logits = _sample_loss_and_grad(
-                    graph, config.plan, inputs, target,
-                    config.init_state_mode, config.seed,
-                )
-                batch_loss += loss
-                correct += accuracy_of(logits, target)
-                if total is None:
-                    total = named
-                else:
-                    total = {k: total[k] + named[k] for k in total}
-            batch_loss /= len(batch)
+            batch_loss, mean_grads, logits = _batch_loss_and_grad(
+                graph, config.plan, batch, config.init_state_mode, config.seed
+            )
+            correct += sum(accuracy_of(lg, target) for lg, (_, target) in zip(logits, batch))
             if not np.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {b0 // config.batch_size}"
                 )
-            mean_grads = {k: v / len(batch) for k, v in total.items()}
             graph.params, opt_state = optimizer_step(
                 graph.params, mean_grads, opt_state, config
             )

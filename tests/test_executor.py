@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikegrad.executor import (
     ExecutionPlan,
@@ -12,8 +14,16 @@ from spikegrad.executor import (
     write_trace,
 )
 from spikegrad.tensor import ShapeError, Tape, ValidationError
-from spikegrad.topology import lif_layer, linear_layer, sequential, sequential_recurrent
-from spikegrad.training import SpikeCountCELoss
+from spikegrad.topology import (
+    conv_layer,
+    flatten_layer,
+    graph_build,
+    lif_layer,
+    linear_layer,
+    sequential,
+    sequential_recurrent,
+)
+from spikegrad.training import SpikeCountCELoss, loss_and_grad
 
 
 def lif_numpy_step(u, i, x, p):
@@ -131,6 +141,15 @@ class TestSchedulerEquivalence:
         assert tape._tags.count("lif_scan") == len(g.stateful_nodes())
         assert "threshold" not in tape._tags and "stack_rows" not in tape._tags
 
+    def test_step_by_step_one_scan_node_per_lif_layer_per_step(self):
+        g = mlp(seed=2, smooth=20.0)
+        tape = Tape()
+        params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
+        x = (np.random.default_rng(1).random((7, 4)) < 0.3).astype(np.float64)
+        run(g, ExecutionPlan("step_by_step"), x, init_states(g), params=params)
+        assert tape._tags.count("lif_scan") == 7 * len(g.stateful_nodes())
+        assert "threshold" not in tape._tags and "smooth_spike" not in tape._tags
+
     def test_layer_by_layer_rejects_feedback(self):
         g = sequential_recurrent(
             [linear_layer(4, in_features=3), lif_layer(4)], feedback=[(1, 1)],
@@ -140,8 +159,6 @@ class TestSchedulerEquivalence:
             run(g, ExecutionPlan("layer_by_layer"), np.ones((3, 3)), init_states(g))
 
     def test_gradients_agree_across_schedulers(self):
-        from spikegrad.training import loss_and_grad
-
         g = mlp(seed=4, smooth=20.0)
         rng = np.random.default_rng(3)
         batch = [((rng.random((15, 4)) < 0.4).astype(np.float64),
@@ -151,6 +168,83 @@ class TestSchedulerEquivalence:
         for name in ga:
             denom = max(np.abs(ga[name]).max(), 1e-12)
             assert np.abs(ga[name] - gb[name]).max() / denom < 1e-10
+
+
+def conv_fan_in_graph(c_in, size, c_out, kernel, stride, padding, n_hidden, n_out,
+                      fan_in_src, flat_skip, smooth, seed):
+    """conv -> LIF -> flatten -> linear -> linear -> LIF, plus a delay-0
+    fan-in edge into the readout LIF from node fan_in_src, projected where
+    its shape differs, and with flat_skip a conv -> linear edge that only
+    needs a reshape."""
+    nodes = [conv_layer(c_in, c_out, kernel, stride=stride, padding=padding),
+             lif_layer(smooth_sharpness=smooth), flatten_layer(), linear_layer(n_hidden),
+             linear_layer(n_out), lif_layer(n_out, smooth_sharpness=smooth)]
+    edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (fan_in_src, 5, 0)]
+    if flat_skip:
+        edges.append((0, 3, 0))
+    return graph_build(nodes, edges, input_shape=(c_in, size, size), seed=seed,
+                       dtype=np.float64)
+
+
+@st.composite
+def conv_fan_in_cases(draw):
+    graph = conv_fan_in_graph(
+        c_in=draw(st.integers(1, 2)), size=draw(st.integers(3, 5)),
+        c_out=draw(st.integers(1, 3)), kernel=draw(st.integers(1, 3)), stride=draw(st.integers(1, 2)), padding=draw(st.integers(0, 1)),
+        n_hidden=draw(st.integers(2, 6)), n_out=draw(st.integers(2, 4)),
+        fan_in_src=draw(st.sampled_from([0, 1, 3])), flat_skip=draw(st.booleans()),
+        smooth=draw(st.sampled_from([None, 20.0])), seed=draw(st.integers(0, 2**16)),
+    )
+    t = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.uniform(0.0, 2.0, (t,) + graph.input_shape)
+    target = np.eye(graph.nodes[-1].shape[0])[0]
+    return graph, x, target
+
+
+class TestMergedPathProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(conv_fan_in_cases())
+    def test_schedulers_agree_on_conv_projection_fan_in(self, case):
+        g, x, target = case
+        _, a = run(g, ExecutionPlan("step_by_step"), x, init_states(g), record_hidden=True)
+        _, b = run(g, ExecutionPlan("layer_by_layer"), x, init_states(g), record_hidden=True)
+        assert sorted(a.hidden) == sorted(b.hidden)
+        for nid in a.hidden:
+            assert a.hidden[nid].shape == b.hidden[nid].shape
+            assert np.abs(a.hidden[nid].data - b.hidden[nid].data).max() < 1e-6
+        batch = [(x, target)]
+        _, ga = loss_and_grad(g, ExecutionPlan("step_by_step"), batch)
+        _, gb = loss_and_grad(g, ExecutionPlan("layer_by_layer"), batch)
+        for name in ga:
+            denom = max(np.abs(ga[name]).max(), 1e-12)
+            assert np.abs(ga[name] - gb[name]).max() / denom < 1e-5, name
+
+    @settings(max_examples=50, deadline=None)
+    @given(n_in=st.integers(1, 4), width=st.integers(3, 6), fb_src=st.sampled_from([1, 3]),
+           smooth=st.sampled_from([None, 20.0]), t=st.integers(2, 12), data=st.data())
+    def test_checkpointing_bit_identical_with_feedback(self, n_in, width, fb_src, smooth, t,
+                                                       data):
+        # the readout has 2 neurons and the hidden layer at least 3, so
+        # feedback from node 3 needs a projection and the self-loop does not
+        g = sequential_recurrent(
+            [linear_layer(width, in_features=n_in), lif_layer(width, smooth_sharpness=smooth),
+             linear_layer(2), lif_layer(2, smooth_sharpness=smooth)],
+            feedback=[(fb_src, 1)], input_shape=(n_in,), seed=data.draw(st.integers(0, 99)),
+            dtype=np.float64,
+        )
+        assert (g.proj_name(fb_src, 1) in g.params) == (fb_src == 3)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.uniform(0.0, 2.0, (t, n_in))
+        target = np.array([0.0, 1.0])
+        ref_loss, ref_grads, _ = full_bptt(g, x, target)
+        plan = ExecutionPlan("step_by_step", checkpoint_every=data.draw(st.integers(1, t)))
+        loss, grads, _ = run_with_checkpointing(g, plan, x, init_states(g),
+                                                SpikeCountCELoss(target))
+        assert loss == ref_loss
+        assert sorted(grads) == sorted(ref_grads)
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestDelayedFeedback:

@@ -182,6 +182,23 @@ class TestElementwise:
         assert np.allclose(grads[x.node_id].data, 2 * np.arange(6.0).reshape(3, 2))
 
 
+class TestReshape:
+    def test_same_shape_records_no_node_and_passes_gradients(self):
+        tape = Tape()
+        x = tape.leaf(np.arange(6.0).reshape(2, 3))
+        n = len(tape)
+        y = ops.reshape(x, [2, 3])
+        assert y is x and len(tape) == n
+        z = ops.sum_all(ops.mul(y, ops.reshape(ops.reshape(x, (3, 2)), (2, 3))))
+        assert tape._tags.count("reshape") == 2
+        grads = backward(tape, z.node_id)
+        assert np.array_equal(grads[x.node_id].data, 2 * np.arange(6.0).reshape(2, 3))
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            ops.reshape(Tensor(np.ones((2, 3))), (4, 2))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform(self):
         loss = ops.softmax_cross_entropy(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikegrad import ops
-from spikegrad.executor import ExecutionPlan, SpikeRecord
+from spikegrad.executor import ExecutionPlan, PlanError, SpikeRecord
 from spikegrad.neurons import LIFParams, NeuronState, lif_step
 from spikegrad.tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
 from spikegrad.topology import lif_layer, linear_layer, sequential
@@ -48,6 +48,18 @@ class TestSpikeCountCELoss:
         p /= p.sum()
         assert np.allclose(grad, p - np.array([0.0, 0.0, 1.0]), atol=1e-12)
         assert abs(loss + np.log(p[2])) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_logit_grad_bit_identical_to_taped_loss(self, dtype):
+        target = np.array([0.0, 1.0, 0.0, 0.0])
+        logits = np.array([7.0, 3.0, 0.0, 12.0], dtype=dtype)
+        loss, grad = SpikeCountCELoss(target).loss_and_logit_grad(logits)
+        tape = Tape()
+        lg = tape.leaf(logits)
+        taped = ops.softmax_cross_entropy(lg, Tensor(target, dtype=dtype))
+        ref = tape.grads_from_seeds({taped.node_id: np.ones((), dtype=dtype)})[lg.node_id]
+        assert loss == float(taped.data)
+        assert grad.dtype == ref.dtype and np.array_equal(grad, ref)
 
     def test_target_must_be_one_hot_vector(self):
         with pytest.raises(ShapeError):
@@ -130,6 +142,11 @@ class TestLossAndGrad:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             loss_and_grad(smooth_mlp(), ExecutionPlan(), [])
+
+    def test_checkpoint_every_rejected(self):
+        batch = [(np.ones((4, 3)), np.array([1.0, 0.0]))]
+        with pytest.raises(PlanError, match="run_with_checkpointing"):
+            loss_and_grad(smooth_mlp(), ExecutionPlan(checkpoint_every=2), batch)
 
     def test_deterministic(self):
         g = smooth_mlp()
@@ -293,6 +310,11 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
             train(self.graph(), [], TrainConfig())
+
+    def test_checkpoint_every_rejected(self):
+        cfg = TrainConfig(epochs=1, batch_size=4, plan=ExecutionPlan(checkpoint_every=2))
+        with pytest.raises(PlanError, match="run_with_checkpointing"):
+            train(self.graph(), self.tiny_dataset(), cfg)
 
     def test_nonfinite_loss_raises_diverged(self, monkeypatch):
         # spike-count logits are always finite, so force a NaN loss at the

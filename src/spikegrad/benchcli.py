@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -328,7 +329,8 @@ def _train_from_config(cfg, data, metrics_path):
     return 0
 
 
-def _load_input_csv(path):
+def _load_input_csv(path, shape):
+    """One flattened time step per line, reshaped to [T, *shape]."""
     rows = []
     with open(path) as f:
         for line in f:
@@ -338,12 +340,16 @@ def _load_input_csv(path):
             rows.append([float(v) for v in line.split(",")])
     if not rows:
         raise ValidationError(f"input file {path} is empty")
-    return Tensor(np.asarray(rows))
+    n = math.prod(shape)
+    bad = next((len(r) for r in rows if len(r) != n), None)
+    if bad is not None:
+        raise ShapeError(f"an input row has {bad} values, the graph takes {n} per step")
+    return Tensor(np.asarray(rows).reshape((len(rows),) + tuple(shape)))
 
 
 def _simulate(graph_path, input_path, trace_path):
     graph = topology.load_graph(graph_path)
-    inputs = _load_input_csv(input_path)
+    inputs = _load_input_csv(input_path, executor.input_shape(graph))
     states = executor.init_states(graph)
     _, record = executor.run(
         graph, ExecutionPlan("step_by_step"), inputs, states, record_hidden=True

@@ -12,6 +12,10 @@ loop order:
   edges read the source's previous-step output (zeros at step 0), so
   arbitrary feedback is supported.
 
+run and run_with_checkpointing share one input boundary: the input must be a
+finite [T, *input_shape(graph)] array, and an untaped one is cast to
+graph.dtype, so a graph computes in its own precision end to end.
+
 run_with_checkpointing stores only segment-boundary states during forward
 and replays each segment of step_by_step on a fresh tape during backward,
 continuing the gradient accumulation so results are bit-identical to full
@@ -151,24 +155,54 @@ def _step(ctx, states, prev, x):
     return cur
 
 
-def _validate_run_args(graph, input_spikes, init_states_map):
-    if input_spikes.ndim < 1 or input_spikes.shape[0] < 1:
+def input_shape(graph):
+    """The per-step input shape run expects: graph.input_shape when set,
+    otherwise the shape of the input nodes."""
+    if graph.input_shape is not None:
+        return tuple(graph.input_shape)
+    return graph.node(graph.input_nodes[0]).in_shape
+
+
+def _check_run_args(graph, input_spikes, init_states_map):
+    """The run boundary. Returns input_spikes as a finite [T, *input_shape]
+    Tensor in graph.dtype: an untaped input is cast, a taped one must already
+    have graph.dtype, since a cast would cut it off its tape. Initial states
+    must cover every LIF node with its shape and graph.dtype."""
+    x = input_spikes if isinstance(input_spikes, Tensor) else Tensor(input_spikes)
+    if x.ndim < 1 or x.shape[0] < 1:
         raise ValidationError("input needs a leading time axis of length >= 1")
+    want = input_shape(graph)
+    if x.shape[1:] != want:
+        raise ShapeError(f"input shape {x.shape} is not [T, *{want}]")
+    if x.dtype != graph.dtype:
+        if x.tape is not None:
+            raise ValidationError(
+                f"taped input has dtype {x.dtype}, the graph computes in {graph.dtype}"
+            )
+        with np.errstate(over="ignore"):
+            x = Tensor(x.data.astype(graph.dtype))
+    if not np.isfinite(x.data).all():
+        raise ValidationError(f"input has NaN or inf values (in {graph.dtype})")
     for nid in graph.stateful_nodes():
         if nid not in init_states_map:
             raise ValidationError(f"missing initial state for stateful node {nid}")
-        if init_states_map[nid].U.shape != graph.node(nid).shape:
+        st = init_states_map[nid]
+        if st.U.shape != graph.node(nid).shape:
             raise ShapeError(
-                f"state shape {init_states_map[nid].U.shape} != layer shape "
+                f"state shape {st.U.shape} != layer shape "
                 f"{graph.node(nid).shape} for node {nid}"
             )
+        if any(v.dtype != graph.dtype for v in (st.U, st.I, st.S)):
+            raise ValidationError(
+                f"initial state of node {nid} is not {graph.dtype}: "
+                f"U {st.U.dtype}, I {st.I.dtype}, S {st.S.dtype}"
+            )
+    return x
 
 
 def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=False):
     """Evaluate the graph over the input's T steps; returns (final states, record)."""
-    if not isinstance(input_spikes, Tensor):
-        input_spikes = Tensor(input_spikes)
-    _validate_run_args(graph, input_spikes, init_states_map)
+    input_spikes = _check_run_args(graph, input_spikes, init_states_map)
     ctx = _ExecContext(graph, params)
     states = dict(init_states_map)
     traced = ctx.order if record_hidden else graph.output_nodes
@@ -217,9 +251,7 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
 
     Returns (loss, gradients by parameter name, stats dict).
     """
-    if not isinstance(input_spikes, Tensor):
-        input_spikes = Tensor(input_spikes)
-    _validate_run_args(graph, input_spikes, init_states_map)
+    input_spikes = _check_run_args(graph, input_spikes, init_states_map)
     t_total = input_spikes.shape[0]
     k = plan.checkpoint_every
     if k is None:

@@ -224,7 +224,14 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     tape = _tape_of(a, b)
-    out = a.data @ b.data
+    # One vector-matrix product (BLAS gemv) per row, which a one-row product
+    # already is: a many-row product (gemm) sums in another order, and in
+    # float32 the last-bit difference flips spikes between step_by_step and
+    # layer_by_layer.
+    if a.shape[0] == 1:
+        out = a.data @ b.data
+    else:
+        out = np.matmul(a.data[:, None, :], b.data)[:, 0]
     if tape is None:
         return _record(None, "matmul", out, [], None)
     ad, bd = a.data, b.data

@@ -74,7 +74,7 @@ class SpikeCountCELoss:
                 f"spike record shape {rec.shape} does not match {self.target.shape[0]} classes"
             )
         logits = ops.sum_axis(rec, 0)
-        return ops.softmax_cross_entropy(logits, Tensor(self.target))
+        return ops.softmax_cross_entropy(logits, Tensor(self.target.astype(rec.dtype)))
 
     def loss_and_logit_grad(self, logits):
         """Loss and d(loss)/d(logits) for a plain count vector."""
@@ -222,12 +222,18 @@ def compare_gradients(ad_grads, fd_grads, threshold=1e-4):
 
 
 def optimizer_step(params, grads, opt_state, config):
-    """One SGD or Adam update; returns (new params, new optimizer state)."""
+    """One SGD or Adam update; returns (new params, new optimizer state).
+
+    Every parameter and Adam moment keeps its parameter's dtype: gradients
+    are cast to it and the hyperparameters enter as Python floats, which do
+    not promote a float32 array.
+    """
     if set(params) != set(grads):
         raise ContractError(
             f"gradient keys {sorted(grads)} do not match parameter keys {sorted(params)}"
         )
-    lr = config.learning_rate
+    grads = {k: np.asarray(grads[k], dtype=params[k].dtype) for k in params}
+    lr = float(config.learning_rate)
     if config.optimizer == "sgd":
         new = {k: params[k] - lr * grads[k] for k in params}
         return new, opt_state or {}
@@ -238,7 +244,7 @@ def optimizer_step(params, grads, opt_state, config):
             "v": {k: np.zeros_like(v) for k, v in params.items()},
         }
     t = opt_state["t"] + 1
-    b1, b2, eps = config.beta1, config.beta2, config.eps
+    b1, b2, eps = float(config.beta1), float(config.beta2), float(config.eps)
     m = {}
     v = {}
     new = {}

@@ -229,6 +229,21 @@ class TestCli:
         assert "output spike counts" in capsys.readouterr().out
         assert trace_path.read_text().startswith("t,node_id,neuron_idx,spike")
 
+    def test_simulate_image_graph_reads_flat_rows(self, tmp_path, capsys):
+        g = sequential([topology.conv_layer(1, 2, 3, padding=1), lif_layer(),
+                        topology.flatten_layer(), linear_layer(2), lif_layer(2)],
+                       input_shape=(1, 3, 3), seed=0)
+        graph_path = tmp_path / "net.json"
+        topology.save_graph(g, graph_path)
+        input_path = tmp_path / "input.csv"
+        input_path.write_text("1,0,1,0,1,0,1,0,1\n0,1,0,1,0,1,0,1,0\n")
+        assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 0
+        assert "output spike counts" in capsys.readouterr().out
+        for bad in ("1,0,1\n0,1,0\n", "1,0,1,0,1,0,1,0,1\n0,1\n"):
+            input_path.write_text(bad)
+            assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 1
+            assert "9 per step" in capsys.readouterr().err
+
     def test_simulate_missing_graph_exits_1(self, tmp_path):
         assert cli(["simulate", "--graph", str(tmp_path / "x.json"),
                     "--input", str(tmp_path / "x.csv")]) == 1

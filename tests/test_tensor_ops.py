@@ -58,6 +58,20 @@ class TestMatmul:
         assert np.allclose(grads[a.node_id].data, [[1.0, 1.0], [1.0, 1.0]])
         assert rel_err(grads[a.node_id].data, fd) < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, m", [(64, 256), (256, 256), (256, 10), (4096, 10)])
+    def test_row_independent_of_row_count(self, n, m, dtype):
+        # a one-row product equals that row of a many-row product bit for bit,
+        # so both schedulers feed a LIF layer the same values
+        rng = np.random.default_rng(n + m)
+        w = Tensor(rng.normal(size=(n, m)).astype(dtype))
+        x = Tensor((rng.random((100, n)) < 0.2).astype(dtype))
+        full = ops.matmul(x, w).data
+        rows = np.concatenate([ops.matmul(ops.slice_rows(x, t, t + 1), w).data
+                               for t in range(100)])
+        assert full.dtype == rows.dtype == dtype
+        assert np.array_equal(full, rows)
+
     def test_shape_mismatch_names_both(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ops.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))

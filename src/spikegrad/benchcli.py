@@ -333,11 +333,14 @@ def _load_input_csv(path, shape):
     """One flattened time step per line, reshaped to [T, *shape]."""
     rows = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            rows.append([float(v) for v in line.split(",")])
+            try:
+                rows.append([float(v) for v in line.split(",")])
+            except ValueError as e:
+                raise ValidationError(f"{path} line {lineno}: {e}") from None
     if not rows:
         raise ValidationError(f"input file {path} is empty")
     n = math.prod(shape)

@@ -3,6 +3,9 @@
 One node function, _step, evaluates every node in topological order over a
 slab of rows [rows, ...]: LIF nodes run neurons.lif_scan over the rows,
 linear nodes one matmul, conv nodes one conv2d_batched, flatten a reshape.
+It runs a node program built once per run (_ExecContext), which holds each
+node's parameter names and input edges and marks the reshapes that are not
+identities, so a step formats no names and skips the identity reshapes.
 The two schedulers compute the same discretized system and differ only in
 loop order:
 
@@ -19,13 +22,14 @@ graph.dtype, so a graph computes in its own precision end to end.
 run_with_checkpointing stores only segment-boundary states during forward
 and replays each segment of step_by_step on a fresh tape during backward,
 continuing the gradient accumulation so results are bit-identical to full
-BPTT.
+BPTT. The newest segment is taped in the forward pass and not replayed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from . import ops
 from .neurons import NeuronState, init_state, lif_scan
 from .neurons import lif_step  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
 from .tensor import ShapeError, Tape, Tensor, ValidationError
-from .topology import topo_order
+from .topology import LayerNode, topo_order
 
 SCHEDULERS = ("step_by_step", "layer_by_layer")
 
@@ -78,17 +82,37 @@ def init_states(graph, mode="zeros", seed=0):
     return states
 
 
+class _NodeOp(NamedTuple):
+    """One node of the program _step runs. A shape tail is None where the
+    shapes are known to match already, so _step skips that reshape."""
+
+    node: LayerNode
+    input_tail: tuple | None  # None when the graph input is not fed in, or fits
+    feeds_input: bool
+    edges: tuple  # (src, delayed, proj name or None, src flat tail, dst tail)
+    weight: str | None
+    flat_tail: tuple | None  # linear and flatten: the [rows, n] view of the input
+
+
 class _ExecContext:
-    """Precomputed per-run structure shared by all schedulers."""
+    """The node program of one graph, built once per run: per node in
+    topological order, the parameter names it reads, where its inputs come
+    from and which reshapes are not identities. params maps those names to
+    Tensors; checkpointed replay swaps in each segment's taped ones."""
 
     def __init__(self, graph, params):
         self.graph = graph
         self.order = topo_order(graph)
-        self.in_edges = {n.id: [] for n in graph.nodes}
+        in_edges = {n.id: [] for n in graph.nodes}
         for s, d, dl in graph.edges:
-            self.in_edges[d].append((s, dl))
+            in_edges[d].append((s, dl))
         self.delay1_sources = sorted({s for s, _, dl in graph.edges if dl == 1})
-        self.inputs = set(graph.input_nodes)
+        x_shape = input_shape(graph)
+        inputs = set(graph.input_nodes)
+        self.program = [
+            _compile_node(graph, graph.node(nid), in_edges[nid], nid in inputs, x_shape)
+            for nid in self.order
+        ]
         if params is None:
             params = {name: Tensor(arr) for name, arr in graph.params.items()}
         self.params = params
@@ -100,15 +124,39 @@ class _ExecContext:
         }
 
 
-def _edge_value(ctx, value, src, dst):
-    graph = ctx.graph
-    proj = ctx.params.get(graph.proj_name(src, dst))
-    rows = value.shape[0]
-    shape = (rows,) + graph.node(dst).in_shape
-    if proj is None:
-        return ops.reshape(value, shape)
-    flat = math.prod(graph.node(src).out_shape)
-    return ops.reshape(ops.matmul(ops.reshape(value, (rows, flat)), proj), shape)
+def _tail(have, want):
+    return None if have == want else want
+
+
+def _compile_node(graph, node, in_edges, feeds_input, x_shape):
+    if node.kind not in ("lif", "linear", "conv", "flatten"):
+        raise ValidationError(f"cannot apply layer kind {node.kind!r}")
+    edges = []
+    for src, dl in in_edges:
+        src_shape = graph.node(src).out_shape
+        proj = graph.proj_name(src, node.id)
+        if proj in graph.params:
+            flat = (math.prod(src_shape),)
+            edges.append((src, dl == 1, proj, _tail(src_shape, flat),
+                          _tail((math.prod(node.in_shape),), node.in_shape)))
+        else:
+            edges.append((src, dl == 1, None, None, _tail(src_shape, node.in_shape)))
+    weight = graph.param_name(node.id) if node.kind in ("linear", "conv") else None
+    flat_tail = None
+    if node.kind == "linear":
+        flat_tail = _tail(node.in_shape, (node.in_features,))
+    elif node.kind == "flatten":
+        flat_tail = _tail(node.in_shape, node.out_shape)
+    return _NodeOp(
+        node=node,
+        input_tail=_tail(x_shape, node.in_shape) if feeds_input else None,
+        feeds_input=feeds_input, edges=tuple(edges), weight=weight, flat_tail=flat_tail,
+    )
+
+
+def _rows_as(t, rows, tail):
+    """t as [rows, *tail], or t itself when the program knows it fits."""
+    return t if tail is None else ops.reshape(t, (rows,) + tail)
 
 
 def _merge(contribs, shape, dtype):
@@ -120,18 +168,12 @@ def _merge(contribs, shape, dtype):
     return x
 
 
-def _apply_stateless(ctx, node, x):
-    rows = x.shape[0]
-    if node.kind == "linear":
-        w = ctx.params[ctx.graph.param_name(node.id)]
-        y = ops.matmul(ops.reshape(x, (rows, node.in_features)), w)
-        return ops.reshape(y, (rows,) + node.out_shape)
+def _apply_stateless(params, op, x, rows):
+    node = op.node
     if node.kind == "conv":
-        w = ctx.params[ctx.graph.param_name(node.id)]
-        return ops.conv2d_batched(x, w, stride=node.stride, padding=node.padding)
-    if node.kind == "flatten":
-        return ops.reshape(x, (rows,) + node.out_shape)
-    raise ValidationError(f"cannot apply layer kind {node.kind!r}")
+        return ops.conv2d_batched(x, params[op.weight], stride=node.stride, padding=node.padding)
+    x = _rows_as(x, rows, op.flat_tail)
+    return ops.matmul(x, params[op.weight]) if node.kind == "linear" else x
 
 
 def _step(ctx, states, prev, x):
@@ -139,19 +181,23 @@ def _step(ctx, states, prev, x):
     one step for step_by_step. Delay-1 edges read prev; returns {node id:
     output [rows, ...]}."""
     rows = x.shape[0]
+    params = ctx.params
     cur = {}
-    for nid in ctx.order:
-        node = ctx.graph.node(nid)
-        shape = (rows,) + node.in_shape
-        contribs = [ops.reshape(x, shape)] if nid in ctx.inputs else []
-        for s, dl in ctx.in_edges[nid]:
-            v = cur[s] if dl == 0 else prev[s]
-            contribs.append(_edge_value(ctx, v, s, nid))
-        merged = _merge(contribs, shape, ctx.graph.dtype)
+    for op in ctx.program:
+        node = op.node
+        contribs = [_rows_as(x, rows, op.input_tail)] if op.feeds_input else []
+        for src, delayed, proj, src_tail, dst_tail in op.edges:
+            v = prev[src] if delayed else cur[src]
+            if proj is not None:
+                v = ops.matmul(_rows_as(v, rows, src_tail), params[proj])
+            contribs.append(_rows_as(v, rows, dst_tail))
+        merged = _merge(contribs, (rows,) + node.in_shape, ctx.graph.dtype)
         if node.stateful:
-            states[nid], cur[nid] = lif_scan(states[nid], merged, node.lif, node.smooth_sharpness)
+            states[node.id], cur[node.id] = lif_scan(
+                states[node.id], merged, node.lif, node.smooth_sharpness
+            )
         else:
-            cur[nid] = _apply_stateless(ctx, node, merged)
+            cur[node.id] = _apply_stateless(params, op, merged, rows)
     return cur
 
 
@@ -247,7 +293,9 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     Forward stores only the states at every checkpoint_every steps; backward
     replays each segment on its own tape, seeding it with the gradients that
     arrived from later segments and continuing the parameter-gradient
-    accumulation, so the result is bit-identical to a full-tape run.
+    accumulation, so the result is bit-identical to a full-tape run. The
+    newest segment is taped during the forward pass already and serves as
+    its own replay.
 
     Returns (loss, gradients by parameter name, stats dict).
     """
@@ -265,91 +313,108 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     out_node = graph.output_nodes[0]
     input_np = Tensor(input_spikes.data)  # detached copy, never taped
 
-    # forward without a tape: keep only boundary snapshots and output rows
+    # forward without a tape up to the newest segment: keep only boundary
+    # snapshots and output rows
     ctx = _ExecContext(graph, None)
+    t_newest = (t_total - 1) // k * k
     states = dict(init_states_map)
     prev = ctx.zero_prev()
     boundaries = []  # (t_start, states snapshot, prev snapshot)
     out_rows = []
-    for t in range(t_total):
+    for t in range(t_newest):
         if t % k == 0:
             boundaries.append((t, dict(states), dict(prev)))
         cur = _step(ctx, states, prev, ops.slice_rows(input_np, t, t + 1))
         out_rows.append(cur[out_node].data[0])
         for s in ctx.delay1_sources:
             prev[s] = cur[s]
+    seg = _Segment(ctx, input_np, t_newest, t_total, states, prev, out_node)
+    out_rows.extend(o.data[0] for o in seg.outputs)
 
     logits = np.sum(np.stack(out_rows), axis=0)
     loss, dlogits = loss_head.loss_and_logit_grad(logits)
     dlogits = dlogits[None]  # each step's output is a [1, C] row
 
     # backward, one segment at a time, newest first
-    param_names = sorted(graph.params)
-    running = None  # parameter grads accumulated from later segments
-    state_grads = None
-    prev_grads = None
+    later = None  # (param grads, state grads, prev grads) of the later segments
     peak_nodes = 0
     for t0, st0, pv0 in reversed(boundaries):
-        t1 = min(t0 + k, t_total)
-        tape = Tape()
-        params_t = {name: tape.leaf(graph.params[name]) for name in param_names}
-        seg_ctx = _ExecContext(graph, params_t)
-        states_t = {
+        later = seg.backward(dlogits, later)
+        peak_nodes = max(peak_nodes, len(seg.tape))
+        seg = None  # free this tape before the next one is built
+        seg = _Segment(ctx, input_np, t0, t0 + k, st0, pv0, out_node)
+    later = seg.backward(dlogits, later)
+    peak_nodes = max(peak_nodes, len(seg.tape))
+
+    n_state_tensors = 3 * len(graph.stateful_nodes()) + len(ctx.delay1_sources)
+    stats = {
+        "segments": len(boundaries) + 1,
+        "peak_tape_nodes": peak_nodes,
+        "boundary_tensor_count": (len(boundaries) + 1) * n_state_tensors,
+    }
+    return loss, later[0], stats
+
+
+class _Segment:
+    """Steps [t0, t1) of step_by_step on a fresh tape, started from leaf
+    copies of the boundary states. ctx.params becomes the tape's parameter
+    leaves."""
+
+    def __init__(self, ctx, input_np, t0, t1, states0, prev0, out_node):
+        tape = self.tape = Tape()
+        graph_params = ctx.graph.params
+        self.params = {name: tape.leaf(graph_params[name]) for name in sorted(graph_params)}
+        ctx.params = self.params
+        self.start_states = {
             nid: NeuronState(
                 U=tape.leaf(st.U.data), I=tape.leaf(st.I.data), S=tape.leaf(st.S.data)
             )
-            for nid, st in st0.items()
+            for nid, st in states0.items()
         }
-        start_state_ids = {
-            nid: (st.U.node_id, st.I.node_id, st.S.node_id) for nid, st in states_t.items()
-        }
-        prev_t = {s: tape.leaf(pv0[s].data) for s in seg_ctx.delay1_sources}
-        start_prev_ids = {s: t.node_id for s, t in prev_t.items()}
+        self.start_prev = {s: tape.leaf(prev0[s].data) for s in ctx.delay1_sources}
+        self.states = dict(self.start_states)
+        self.prev = dict(self.start_prev)
+        self.outputs = []
+        for t in range(t0, t1):
+            cur = _step(ctx, self.states, self.prev, ops.slice_rows(input_np, t, t + 1))
+            self.outputs.append(cur[out_node])
+            for s in ctx.delay1_sources:
+                self.prev[s] = cur[s]
 
+    def backward(self, dlogits, later):
+        """Reverse sweep seeded with dlogits on every step's output and with
+        the later segments' gradients on the final states; continues their
+        parameter-gradient accumulation. Returns this segment's (param grads,
+        start-state grads, start-prev grads)."""
         seeds = {}
 
         def seed_add(nid, g):
             if nid is None:
                 return
-            if nid in seeds:
-                seeds[nid] = seeds[nid] + g
-            else:
-                seeds[nid] = np.array(g, copy=True)
+            seeds[nid] = seeds[nid] + g if nid in seeds else g
 
-        for t in range(t0, t1):
-            cur = _step(seg_ctx, states_t, prev_t, ops.slice_rows(input_np, t, t + 1))
-            seed_add(cur[out_node].node_id, dlogits)
-            for s in seg_ctx.delay1_sources:
-                prev_t[s] = cur[s]
-
-        if state_grads is not None:
+        for out in self.outputs:
+            seed_add(out.node_id, dlogits)
+        init_param = None
+        if later is not None:
+            running, state_grads, prev_grads = later
             for nid, (gu, gi, gs) in state_grads.items():
-                st = states_t[nid]
+                st = self.states[nid]
                 seed_add(st.U.node_id, gu)
                 seed_add(st.I.node_id, gi)
                 seed_add(st.S.node_id, gs)
             for s, g in prev_grads.items():
-                seed_add(prev_t[s].node_id, g)
-
-        init_param = None
-        if running is not None:
-            init_param = {params_t[name].node_id: running[name] for name in param_names}
-        grads = tape.grads_from_seeds(seeds, init_param_grads=init_param)
-        running = {name: grads[params_t[name].node_id] for name in param_names}
-        state_grads = {
-            nid: tuple(grads[i] for i in ids) for nid, ids in start_state_ids.items()
-        }
-        prev_grads = {s: grads[i] for s, i in start_prev_ids.items()}
-        peak_nodes = max(peak_nodes, len(tape))
-
-    n_state_tensors = 3 * len(graph.stateful_nodes()) + len(ctx.delay1_sources)
-    stats = {
-        "segments": len(boundaries),
-        "peak_tape_nodes": peak_nodes,
-        "boundary_tensor_count": len(boundaries) * n_state_tensors,
-    }
-    gradients = dict(running) if running is not None else {}
-    return loss, gradients, stats
+                seed_add(self.prev[s].node_id, g)
+            init_param = {t.node_id: running[name] for name, t in self.params.items()}
+        grads = self.tape.grads_from_seeds(seeds, init_param_grads=init_param)
+        return (
+            {name: grads[t.node_id] for name, t in self.params.items()},
+            {
+                nid: (grads[st.U.node_id], grads[st.I.node_id], grads[st.S.node_id])
+                for nid, st in self.start_states.items()
+            },
+            {s: grads[t.node_id] for s, t in self.start_prev.items()},
+        )
 
 
 def write_trace(record, path):

@@ -161,9 +161,11 @@ def sum_all(t):
 def reshape(t, shape):
     """t viewed as shape; t itself, with no tape node, when the shape matches."""
     t = _as_tensor(t)
+    # identity checks come first, the cheap one before the normalisation, and
+    # math.prod, not np.prod, sizes the rest: this runs on every time step
+    if shape == t.shape:
+        return t
     shape = tuple(int(s) for s in shape)
-    # the identity check runs first and math.prod, not np.prod, sizes the
-    # rest: the executor reshapes every edge value of every step through here
     if shape == t.shape:
         return t
     if math.prod(shape) != t.size:
@@ -183,6 +185,9 @@ def slice_rows(t, start, stop):
     if not (0 <= start < stop <= t.shape[0]):
         raise ShapeError(f"row slice [{start}:{stop}) invalid for shape {t.shape}")
     tape = _tape_of(t)
+    rows = t.data[start:stop].copy()
+    if tape is None:
+        return Tensor(rows)
     in_shape = t.shape
     dtype = t.dtype
 
@@ -191,7 +196,7 @@ def slice_rows(t, start, stop):
         full[start:stop] = g
         return [full]
 
-    return _record(tape, "slice_rows", t.data[start:stop].copy(), [t] if tape else [], bwd)
+    return _record(tape, "slice_rows", rows, [t], bwd)
 
 
 def stack_rows(tensors):
@@ -244,11 +249,21 @@ def matmul(a, b):
         taped.append(b)
         slots.append("b")
 
+    # For a one-row a the weight gradient is an outer product, a sum of one
+    # term. Broadcasting computes that term at a fraction of a k=1 gemm's call
+    # cost; adding it to +0, as the gemm's sum starts, turns an exact -0 into
+    # +0 and changes no other bit, so both give the same bytes.
+    outer = a.shape[0] == 1
+
     def bwd(g):
         grads = []
         for which in slots:
             if which == "a":
                 grads.append(g @ bd.T)
+            elif outer:
+                dw = ad.T * g
+                dw += 0.0
+                grads.append(dw)
             else:
                 grads.append(ad.T @ g)
         return grads
@@ -433,20 +448,32 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     tape = _tape_of(x, u0, i0)
     xd = x.data
     dtype = np.result_type(xd, u0.data, i0.data)
-    u_pre = np.empty(xd.shape, dtype=dtype)
-    spikes = np.empty(xd.shape, dtype=dtype)
     u, i = u0.data, i0.data
-    for t in range(xd.shape[0]):
-        i = i * beta + xd[t]
-        p = u_pre[t]
-        np.add(u * alpha, i, out=p)
+    if xd.shape[0] == 1:
+        # one step, as step_by_step runs it: the loop below without its
+        # buffers and row views
+        i = i * beta + xd[0]
+        p = u * alpha + i
         if sharpness is None:
-            spikes[t] = p >= thr
+            s = (p >= thr).astype(dtype)
         else:
-            spikes[t] = surrogate.primitive(p - thr, sharpness)
-        s = spikes[t]
+            s = surrogate.primitive(p - thr, sharpness).astype(dtype, copy=False)
         u = p - s * thr if subtract else p * (1.0 - s)
-    s_last = spikes[-1].copy()
+        u_pre, spikes, s_last = p[None], s[None], s
+    else:
+        u_pre = np.empty(xd.shape, dtype=dtype)
+        spikes = np.empty(xd.shape, dtype=dtype)
+        for t in range(xd.shape[0]):
+            i = i * beta + xd[t]
+            p = u_pre[t]
+            np.add(u * alpha, i, out=p)
+            if sharpness is None:
+                spikes[t] = p >= thr
+            else:
+                spikes[t] = surrogate.primitive(p - thr, sharpness)
+            s = spikes[t]
+            u = p - s * thr if subtract else p * (1.0 - s)
+        s_last = spikes[-1].copy()
     if tape is None:
         return Tensor(spikes), Tensor(u), Tensor(i), Tensor(s_last)
 
@@ -454,7 +481,7 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     taped = [t for t, on in zip((x, u0, i0), on_tape) if on]
     # the closures below hold shapes and arrays only, never a Tensor, so a
     # dropped tape is freed by reference counting without a cycle
-    seq_shape, state_shape = xd.shape, u0.shape
+    seq_shape = xd.shape
     final = {}  # gradients seeded on U_T / I_T, consumed by the scan's backward
 
     def bwd(g):
@@ -476,10 +503,10 @@ def lif_scan(x, u0, i0, params, sharpness=None):
             else:
                 s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
             a = (1.0 - s_all) - u_pre * sg
-        gu = final.pop("U", None)
-        gi = final.pop("I", None)
-        gu = np.zeros(state_shape, gdt) if gu is None else gu
-        gi = np.zeros(state_shape, gdt) if gi is None else gi
+        # an unseeded final state counts as a zero gradient; a Python 0.0
+        # takes the other operand's dtype, as the zero array it stands for
+        gu = final.pop("U", 0.0)
+        gi = final.pop("I", 0.0)
         gx = np.empty(seq_shape, dtype=np.result_type(gdt, gu, gi))
         for t in range(seq_shape[0] - 1, -1, -1):
             dp = gu * a[t] + b[t]
@@ -491,9 +518,13 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     out = _record(tape, "lif_scan", spikes, taped, bwd)
 
     def seed_final(key):
+        # A zero gradient on the spike train makes the sweep reach the scan's
+        # backward even when only U_T or I_T is seeded. The first of the two
+        # to run hands it over; the other adds nothing.
         def bwd_final(g):
+            first = not final
             final[key] = g
-            return [np.zeros(seq_shape, dtype=np.result_type(g, dtype))]
+            return [np.zeros(seq_shape, dtype=np.result_type(g, dtype)) if first else None]
 
         return bwd_final
 

@@ -32,6 +32,7 @@ def _dtype_from_name(name):
     return _DTYPES[name]
 
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _default_dtype = _dtype_from_name(os.environ.get("SPIKEGRAD_PRECISION", "f32"))
 
 
@@ -51,7 +52,10 @@ class Tensor:
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, data, tape=None, node_id=None, dtype=None):
-        if dtype is not None:
+        # the common case first: every op result is a float32/float64 ndarray
+        if dtype is None and type(data) is np.ndarray and data.dtype in _FLOAT_DTYPES:
+            arr = data
+        elif dtype is not None:
             arr = np.asarray(data, dtype=dtype)
         elif isinstance(data, (np.ndarray, np.floating)) and np.asarray(data).dtype in (
             np.float32,
@@ -154,8 +158,8 @@ class Tape:
         self._tags.append(tag)
         self._inputs.append(tuple(input_ids))
         self._backwards.append(backward_fn)
-        self._shapes.append(tuple(shape))
-        self._dtypes.append(np.dtype(dtype))
+        self._shapes.append(shape if type(shape) is tuple else tuple(shape))
+        self._dtypes.append(dtype if isinstance(dtype, np.dtype) else np.dtype(dtype))
         self._is_param.append(is_param)
         return nid
 

@@ -24,7 +24,7 @@ from .tensor import ValidationError, default_dtype
 
 logger = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # version 2 adds dtype and params; version 1 is still read
 
 
 class GraphError(ValueError):
@@ -406,7 +406,7 @@ def sequential_recurrent(layers, feedback, input_shape=None, seed=0, dtype=None)
     )
 
 
-# --- JSON serialization (schema version 1) ---------------------------------
+# --- JSON serialization (schema version 2) ---------------------------------
 
 
 def _node_to_json(node):
@@ -476,24 +476,38 @@ def _node_from_json(doc):
 
 
 def to_json(graph):
+    """The graph as a JSON-ready dict, with its dtype and its current
+    parameters. Python floats print every float32 and float64 value exactly,
+    so from_json restores the parameters bit for bit."""
     return {
         "version": SCHEMA_VERSION,
         "seed": graph.seed,
+        "dtype": graph.dtype.name,
         "input_shape": list(graph.input_shape) if graph.input_shape else None,
         "input_nodes": list(graph.input_nodes),
         "output_nodes": list(graph.output_nodes),
         "nodes": [_node_to_json(n) for n in graph.nodes],
         "edges": [list(e) for e in graph.edges],
+        "params": {name: graph.params[name].tolist() for name in sorted(graph.params)},
     }
 
 
 def from_json(doc, dtype=None):
-    if doc.get("version") != SCHEMA_VERSION:
+    """Rebuild a graph from to_json output. A version-2 document restores its
+    stored parameters, cast to dtype when one is given and computed in the
+    stored dtype otherwise; a version-1 document has none, so its weights
+    are initialised from its seed."""
+    version = doc.get("version")
+    if version not in (1, SCHEMA_VERSION):
         raise ValidationError(
-            f"unsupported graph schema version {doc.get('version')!r}, expected {SCHEMA_VERSION}"
+            f"unsupported graph schema version {version!r}, expected 1 or {SCHEMA_VERSION}"
         )
+    if version == SCHEMA_VERSION and dtype is None:
+        dtype = doc["dtype"]
+        if dtype not in ("float32", "float64"):
+            raise ValidationError(f"graph dtype must be float32 or float64, got {dtype!r}")
     nodes = [_node_from_json(d) for d in doc["nodes"]]
-    return graph_build(
+    graph = graph_build(
         nodes,
         [tuple(e) for e in doc["edges"]],
         input_nodes=doc.get("input_nodes"),
@@ -502,6 +516,31 @@ def from_json(doc, dtype=None):
         seed=doc.get("seed", 0),
         dtype=dtype,
     )
+    if version == SCHEMA_VERSION:
+        graph.params = _stored_params(doc["params"], graph)
+    return graph
+
+
+def _stored_params(stored, graph):
+    """The document's parameters as graph.dtype arrays; names and shapes must
+    be the ones the graph's structure defines."""
+    if not isinstance(stored, dict) or sorted(stored) != sorted(graph.params):
+        raise ValidationError(
+            f"stored parameters {stored!r:.200} do not match the graph's {sorted(graph.params)}"
+        )
+    params = {}
+    for name, values in stored.items():
+        try:
+            arr = np.asarray(values, dtype=graph.dtype)
+        except (TypeError, ValueError) as e:
+            raise ValidationError(f"parameter {name}: {e}") from None
+        if arr.shape != graph.params[name].shape:
+            raise ValidationError(
+                f"parameter {name} has shape {arr.shape}, the graph needs "
+                f"{graph.params[name].shape}"
+            )
+        params[name] = arr
+    return params
 
 
 def save_graph(graph, path):

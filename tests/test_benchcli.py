@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from spikegrad import topology
+from spikegrad import executor, topology
 from spikegrad.benchcli import (
     CNN_CLASSES,
     BenchSpec,
@@ -18,8 +18,10 @@ from spikegrad.benchcli import (
     gradcheck_run,
     write_bench_csv,
 )
+from spikegrad.executor import ExecutionPlan
 from spikegrad.tensor import ValidationError
 from spikegrad.topology import lif_layer, linear_layer, sequential
+from spikegrad.training import TrainConfig, train
 
 
 class TestGenRandomSpikes:
@@ -243,6 +245,37 @@ class TestCli:
             input_path.write_text(bad)
             assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 1
             assert "9 per step" in capsys.readouterr().err
+
+    def test_simulate_uses_saved_trained_weights(self, tmp_path, capsys):
+        g = sequential([linear_layer(4, in_features=3), lif_layer(4), linear_layer(3),
+                        lif_layer(3)], input_shape=(3,), seed=0, dtype=np.float64)
+        seeded = topology.from_json(topology.to_json(g))
+        g, _ = train(g, gen_toy(3, 3, 10, 4, seed=2),
+                     TrainConfig(epochs=2, batch_size=4, learning_rate=0.2))
+        graph_path = tmp_path / "net.json"
+        topology.save_graph(g, graph_path)
+        x = gen_random_spikes(3, 12, 0.6, seed=5).data
+        input_path = tmp_path / "input.csv"
+        input_path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in x))
+
+        def counts(graph):
+            _, rec = executor.run(graph, ExecutionPlan("step_by_step"), x,
+                                  executor.init_states(graph))
+            return np.array2string(rec.outputs[3].data.sum(axis=0), precision=6)
+
+        assert counts(g) != counts(seeded)
+        assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 0
+        assert f"output spike counts: {counts(g)}" in capsys.readouterr().out
+
+    def test_simulate_non_numeric_input_exits_1(self, tmp_path, capsys):
+        g = sequential([lif_layer(2)], input_shape=(2,))
+        graph_path = tmp_path / "net.json"
+        topology.save_graph(g, graph_path)
+        input_path = tmp_path / "input.csv"
+        input_path.write_text("0,1\n\n1,x\n")
+        assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "line 3" in err and "'x'" in err
 
     def test_simulate_missing_graph_exits_1(self, tmp_path):
         assert cli(["simulate", "--graph", str(tmp_path / "x.json"),

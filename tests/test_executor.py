@@ -1,5 +1,7 @@
 """Schedulers, the fused layer_by_layer scan, delayed feedback, and gradient checkpointing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,33 @@ class TestSchedulerEquivalence:
         run(g, ExecutionPlan("step_by_step"), x, init_states(g), params=params)
         assert tape._tags.count("lif_scan") == 7 * len(g.stateful_nodes())
         assert "threshold" not in tape._tags and "smooth_spike" not in tape._tags
+
+    def test_recurrent_step_tape_nodes_pinned(self):
+        # linear -> LIF with a delay-1 linear feedback -> linear -> LIF: per
+        # step 3 matmuls, the fan-in add and, per LIF layer, the scan node
+        # and its U_T/I_T/S_T nodes; the node program records no reshape
+        g = graph_build(
+            [linear_layer(6, in_features=4), lif_layer(6), linear_layer(6),
+             linear_layer(3), lif_layer(3)],
+            [(0, 1, 0), (1, 2, 0), (2, 1, 1), (1, 3, 0), (3, 4, 0)],
+            input_nodes=[0], output_nodes=[4], input_shape=(4,), seed=1, dtype=np.float64,
+        )
+        x = (np.random.default_rng(3).random((10, 4)) < 0.4).astype(np.float64)
+        tags = {}
+        for steps in (1, 5):
+            tape = Tape()
+            params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
+            run(g, ExecutionPlan("step_by_step"), x[:steps], init_states(g), params=params)
+            tags[steps] = Counter(tape._tags)
+        per_four_steps = tags[5] - tags[1]
+        assert per_four_steps == {"matmul": 12, "add": 4, "lif_scan": 8, "lif_scan_u": 8,
+                                  "lif_scan_i": 8, "lif_scan_s": 8}
+        _, _, stats = run_with_checkpointing(
+            g, ExecutionPlan("step_by_step", checkpoint_every=5), x, init_states(g),
+            SpikeCountCELoss(np.array([0.0, 1.0, 0.0])),
+        )
+        # 5 steps of 12 nodes plus the leaves: 3 weights, U/I/S of 2 layers, 1 prev
+        assert stats["peak_tape_nodes"] == 5 * 12 + 3 + 6 + 1
 
     def test_layer_by_layer_rejects_feedback(self):
         g = sequential_recurrent(

@@ -190,7 +190,19 @@ class TestLifScan:
     @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
     @pytest.mark.parametrize("tag", SURROGATE_TAGS)
     def test_matches_unrolled_steps(self, tag, reset, sharpness, dtype):
-        t_steps, shape = 25, (3, 4)
+        self._check_against_unrolled(tag, reset, sharpness, dtype, t_steps=25)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sharpness", [None, 8.0])
+    @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
+    @pytest.mark.parametrize("tag", SURROGATE_TAGS)
+    def test_one_row_matches_unrolled_step(self, tag, reset, sharpness, dtype):
+        # step_by_step's one-row slabs take their own forward branch
+        self._check_against_unrolled(tag, reset, sharpness, dtype, t_steps=1)
+
+    @staticmethod
+    def _check_against_unrolled(tag, reset, sharpness, dtype, t_steps):
+        shape = (3, 4)
         rng = np.random.default_rng(7)
         p = LIFParams(surrogate=SurrogateFn(tag), reset=reset)
         st0 = init_state(shape, mode="uniform", rng_seed=3, dtype=dtype)
@@ -220,19 +232,36 @@ class TestLifScan:
     def test_final_state_seed_alone_reaches_initial_state(self, reset):
         # only I_0 on the tape and only U_T seeded: the gradient still runs
         # the whole reverse recurrence and lands in the right slot
+        self._check_final_seed_alone(reset, steps=10, seeded="U")
+
+    @pytest.mark.parametrize("seeded", ["U", "I", "UI"])
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
+    def test_final_seeds_alone_reach_initial_state(self, reset, steps, seeded):
+        # whichever of U_T and I_T is seeded hands the scan's backward the
+        # zero spike-train gradient that makes the sweep reach it
+        self._check_final_seed_alone(reset, steps, seeded)
+
+    @staticmethod
+    def _check_final_seed_alone(reset, steps, seeded):
         p = LIFParams(reset=reset)
         rng = np.random.default_rng(2)
-        x = Tensor(rng.uniform(0.0, 1.2, (10, 5)))
+        x = Tensor(rng.uniform(0.0, 1.2, (steps, 5)))
         u0 = rng.uniform(0.0, 1.0, 5)
         i0 = rng.uniform(0.0, 1.0, 5)
-        seed = rng.normal(size=5)
+        seed_u, seed_i = rng.normal(size=5), rng.normal(size=5)
         grads = []
         for fn in (_unrolled, lif_scan):
             tape = Tape()
             i_leaf = tape.leaf(i0)
             st = NeuronState(U=Tensor(u0), I=i_leaf, S=Tensor(np.zeros(5)))
             final, _ = fn(st, x, p, None)
-            grads.append(tape.grads_from_seeds({final.U.node_id: seed})[i_leaf.node_id])
+            seeds = {}
+            if "U" in seeded:
+                seeds[final.U.node_id] = seed_u
+            if "I" in seeded:
+                seeds[final.I.node_id] = seed_i
+            grads.append(tape.grads_from_seeds(seeds)[i_leaf.node_id])
         assert np.abs(grads[1]).max() > 0
         assert _rel(grads[1], grads[0]) < 1e-10
 

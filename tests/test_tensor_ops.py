@@ -72,6 +72,27 @@ class TestMatmul:
         assert full.dtype == rows.dtype == dtype
         assert np.array_equal(full, rows)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (64, 128), (128, 128), (128, 10),
+                                      (257, 33)])
+    def test_one_row_weight_grad_matches_gemm(self, n, m, dtype):
+        # a one-row weight gradient is a broadcast product added to +0; it
+        # gives the k=1 gemm ad.T @ g byte for byte, signed zeros included
+        # (a0 has zeros and g negative entries, whose products are -0)
+        rng = np.random.default_rng(n * m)
+        a0 = (rng.random((1, n)) < 0.3).astype(dtype)
+        a0[0, : n // 3] = rng.normal(size=n // 3)
+        g = rng.normal(size=(1, m)).astype(dtype)
+        g[0, ::4] = 0.0
+        tape = Tape()
+        a = tape.leaf(a0)
+        b = tape.leaf(rng.normal(size=(n, m)).astype(dtype))
+        grads = tape.grads_from_seeds({ops.matmul(a, b).node_id: g})
+        got, want = grads[b.node_id], a0.T @ g
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(grads[a.node_id], g @ b.data.T)
+
     def test_shape_mismatch_names_both(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
             ops.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))

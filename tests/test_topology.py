@@ -1,9 +1,12 @@
 """Graph construction: chains, feedback, general graphs, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from spikegrad import executor
+from spikegrad.benchcli import gen_toy
 from spikegrad.executor import ExecutionPlan
 from spikegrad.neurons import LIFParams
 from spikegrad.topology import (
@@ -22,6 +25,7 @@ from spikegrad.topology import (
     to_json,
     topo_order,
 )
+from spikegrad.training import TrainConfig, train
 
 
 class TestSequential:
@@ -201,7 +205,7 @@ class TestSerialization:
     def test_roundtrip_structure_and_weights(self):
         g = self.recurrent_graph()
         doc = to_json(g)
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         g2 = from_json(doc)
         assert to_json(g2) == doc
         assert sorted(g2.params) == sorted(g.params)
@@ -226,6 +230,64 @@ class TestSerialization:
         save_graph(g, path)
         g2 = load_graph(path)
         assert to_json(g2) == to_json(g)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_trained_params_roundtrip_bit_identical(self, dtype):
+        g = sequential_recurrent(
+            [linear_layer(5, in_features=4), lif_layer(5), linear_layer(2), lif_layer(2)],
+            feedback=[(3, 1)], input_shape=(4,), seed=3, dtype=dtype,
+        )
+        seeded = {name: w.copy() for name, w in g.params.items()}
+        data = gen_toy(2, 4, 8, 6, seed=1)
+        g, _ = train(g, data, TrainConfig(epochs=2, batch_size=4, learning_rate=0.05))
+        assert any(not np.array_equal(g.params[n], seeded[n]) for n in seeded)
+        g2 = from_json(json.loads(json.dumps(to_json(g))))
+        assert g2.dtype == g.dtype == dtype
+        assert sorted(g2.params) == sorted(g.params)
+        for name, w in g.params.items():
+            assert g2.params[name].dtype == w.dtype == dtype
+            assert g2.params[name].tobytes() == w.tobytes()
+
+    def test_version_1_document_gets_seeded_weights(self):
+        g = self.recurrent_graph()
+        seeded = {name: w.copy() for name, w in g.params.items()}
+        g.params = {name: w + 1.0 for name, w in g.params.items()}
+        doc1 = {k: v for k, v in to_json(g).items() if k not in ("dtype", "params")}
+        doc1["version"] = 1
+        g1 = from_json(doc1)
+        assert g1.dtype == g.dtype
+        for name, w in seeded.items():
+            assert g1.params[name].dtype == w.dtype
+            assert np.array_equal(g1.params[name], w)
+
+    def test_dtype_argument_casts_stored_params(self):
+        g = sequential([linear_layer(3, in_features=2), lif_layer(3)],
+                       input_shape=(2,), seed=1, dtype=np.float64)
+        g.params = {name: w / 3.0 for name, w in g.params.items()}
+        g32 = from_json(to_json(g), dtype=np.float32)
+        assert g32.dtype == np.float32
+        for name, w in g.params.items():
+            assert g32.params[name].dtype == np.float32
+            assert np.array_equal(g32.params[name], w.astype(np.float32))
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "shape", "text", "dtype"])
+    def test_bad_stored_params_rejected(self, edit):
+        from spikegrad.tensor import ValidationError
+
+        doc = to_json(self.recurrent_graph())
+        name = sorted(doc["params"])[0]
+        if edit == "missing":
+            del doc["params"][name]
+        elif edit == "extra":
+            doc["params"]["node9.weight"] = [[0.0]]
+        elif edit == "shape":
+            doc["params"][name] = doc["params"][name][1:]
+        elif edit == "text":
+            doc["params"][name][0][0] = "x"
+        else:
+            doc["dtype"] = "int8"
+        with pytest.raises(ValidationError):
+            from_json(doc)
 
     def test_unknown_version_rejected(self):
         from spikegrad.tensor import ValidationError

@@ -221,6 +221,36 @@ def stack_rows(tensors):
     return _record(tape, "stack_rows", out, taped, bwd)
 
 
+def matmul_rows(a, b):
+    """a [rows, n] @ b [n, m] as one vector-matrix product (BLAS gemv) per
+    row, which a one-row product already is: a many-row product (gemm) sums
+    in another order, and in float32 the last-bit difference flips spikes
+    between step_by_step and layer_by_layer."""
+    if a.shape[0] == 1:
+        return a @ b
+    return np.matmul(a[:, None, :], b)[:, 0]
+
+
+def matmul_backward(a, b, g, need_a, need_b):
+    """Gradients (of a, of b; None where not needed) of matmul_rows(a, b)
+    for the output gradient g.
+
+    For a one-row a the weight gradient is an outer product, a sum of one
+    term. Broadcasting computes that term at a fraction of a k=1 gemm's call
+    cost; adding it to +0, as the gemm's sum starts, turns an exact -0 into
+    +0 and changes no other bit, so both give the same bytes.
+    """
+    ga = g @ b.T if need_a else None
+    if not need_b:
+        gb = None
+    elif a.shape[0] == 1:
+        gb = a.T * g
+        gb += 0.0
+    else:
+        gb = a.T @ g
+    return ga, gb
+
+
 def matmul(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b)
@@ -229,44 +259,15 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     tape = _tape_of(a, b)
-    # One vector-matrix product (BLAS gemv) per row, which a one-row product
-    # already is: a many-row product (gemm) sums in another order, and in
-    # float32 the last-bit difference flips spikes between step_by_step and
-    # layer_by_layer.
-    if a.shape[0] == 1:
-        out = a.data @ b.data
-    else:
-        out = np.matmul(a.data[:, None, :], b.data)[:, 0]
+    out = matmul_rows(a.data, b.data)
     if tape is None:
         return _record(None, "matmul", out, [], None)
     ad, bd = a.data, b.data
-    taped = []
-    slots = []
-    if a.tape is tape:
-        taped.append(a)
-        slots.append("a")
-    if b.tape is tape:
-        taped.append(b)
-        slots.append("b")
-
-    # For a one-row a the weight gradient is an outer product, a sum of one
-    # term. Broadcasting computes that term at a fraction of a k=1 gemm's call
-    # cost; adding it to +0, as the gemm's sum starts, turns an exact -0 into
-    # +0 and changes no other bit, so both give the same bytes.
-    outer = a.shape[0] == 1
+    need_a, need_b = a.tape is tape, b.tape is tape
+    taped = [t for t, on in ((a, need_a), (b, need_b)) if on]
 
     def bwd(g):
-        grads = []
-        for which in slots:
-            if which == "a":
-                grads.append(g @ bd.T)
-            elif outer:
-                dw = ad.T * g
-                dw += 0.0
-                grads.append(dw)
-            else:
-                grads.append(ad.T @ g)
-        return grads
+        return [d for d in matmul_backward(ad, bd, g, need_a, need_b) if d is not None]
 
     return _record(tape, "matmul", out, taped, bwd)
 
@@ -308,7 +309,10 @@ def _col2im(dcols, in_shape, k, stride, padding):
     return dx
 
 
-def _conv2d_core(x4, kernel, stride, padding, tape, taped_x, taped_k):
+def conv2d_forward(x4, kernel, stride, padding):
+    """Cross-correlation of x4 [B, C, H, W] with kernel [Co, C, k, k];
+    returns (output [B, Co, Ho, Wo], the im2col columns conv2d_backward
+    reads)."""
     b, c, h, w = x4.shape
     co, ci, kh, kw = kernel.shape
     if kh != kw:
@@ -317,18 +321,32 @@ def _conv2d_core(x4, kernel, stride, padding, tape, taped_x, taped_k):
         raise ShapeError(f"kernel expects {ci} input channels, input has {c}")
     cols, ho, wo = _im2col(x4, kh, stride, padding)
     kr = kernel.reshape(co, ci * kh * kw)
-    out = np.matmul(kr[None, :, :], cols).reshape(b, co, ho, wo)
+    return np.matmul(kr[None, :, :], cols).reshape(b, co, ho, wo), cols
+
+
+def conv2d_backward(g, cols, kernel, x_shape, stride, padding, need_x, need_k):
+    """Gradients (of the input, of the kernel; None where not needed) of
+    conv2d_forward for the output gradient g [B, Co, Ho, Wo]."""
+    b, co, ho, wo = g.shape
+    _, ci, kh, kw = kernel.shape
+    kr = kernel.reshape(co, ci * kh * kw)
+    gr = g.reshape(b, co, ho * wo)
+    dx = dk = None
+    if need_x:
+        dcols = np.matmul(kr.T[None, :, :], gr)
+        dx = _col2im(dcols, x_shape, kh, stride, padding)
+    if need_k:
+        dk = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
+    return dx, dk
+
+
+def _conv2d_taped(x4, kernel, stride, padding, taped_x, taped_k):
+    out, cols = conv2d_forward(x4, kernel, stride, padding)
+    x_shape = x4.shape
 
     def bwd(g):
-        gr = g.reshape(b, co, ho * wo)
-        grads = []
-        if taped_x:
-            dcols = np.matmul(kr.T[None, :, :], gr)
-            grads.append(_col2im(dcols, (b, c, h, w), kh, stride, padding))
-        if taped_k:
-            dk = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0)
-            grads.append(dk.reshape(co, ci, kh, kw))
-        return grads
+        dx, dk = conv2d_backward(g, cols, kernel, x_shape, stride, padding, taped_x, taped_k)
+        return [d for d in (dx, dk) if d is not None]
 
     return out, bwd
 
@@ -341,11 +359,11 @@ def conv2d(x, kernel, stride=1, padding=0):
         raise ShapeError(
             f"conv2d expects [C,H,W] input and [Co,Ci,k,k] kernel, got {x.shape}, {kernel.shape}"
         )
-    _validate_conv_args(stride, padding)
+    validate_conv_args(stride, padding)
     tape = _tape_of(x, kernel)
     taped_x = tape is not None and x.tape is tape
     taped_k = tape is not None and kernel.tape is tape
-    out4, bwd4 = _conv2d_core(x.data[None], kernel.data, stride, padding, tape, taped_x, taped_k)
+    out4, bwd4 = _conv2d_taped(x.data[None], kernel.data, stride, padding, taped_x, taped_k)
 
     def bwd(g):
         grads = bwd4(g[None])
@@ -370,16 +388,16 @@ def conv2d_batched(x, kernel, stride=1, padding=0):
         raise ShapeError(
             f"conv2d_batched expects [B,C,H,W] input, got {x.shape}, kernel {kernel.shape}"
         )
-    _validate_conv_args(stride, padding)
+    validate_conv_args(stride, padding)
     tape = _tape_of(x, kernel)
     taped_x = tape is not None and x.tape is tape
     taped_k = tape is not None and kernel.tape is tape
-    out, bwd = _conv2d_core(x.data, kernel.data, stride, padding, tape, taped_x, taped_k)
+    out, bwd = _conv2d_taped(x.data, kernel.data, stride, padding, taped_x, taped_k)
     taped = [t for t, on in ((x, taped_x), (kernel, taped_k)) if on]
     return _record(tape, "conv2d_batched", out, taped, bwd)
 
 
-def _validate_conv_args(stride, padding):
+def validate_conv_args(stride, padding):
     if not (isinstance(stride, int) and stride >= 1):
         raise ValidationError(f"stride must be a positive int, got {stride}")
     if not (isinstance(padding, int) and padding >= 0):
@@ -421,34 +439,12 @@ def smooth_spike(u, thr, surrogate, sharpness):
     return _record(tape, "smooth_spike", out, [u] if tape else [], bwd)
 
 
-def lif_scan(x, u0, i0, params, sharpness=None):
-    """Fused LIF recurrence over all T steps of x [T, ...].
-
-    params supplies alpha, beta, thr, surrogate and reset (a LIFParams).
-    Each step computes exactly what neurons.lif_step computes, with the same
-    expressions and dtypes; with a sharpness it computes lif_smooth_step.
-    Returns (spikes [T, ...], U_T, I_T, S_T).
-
-    On a tape the spike train is one node whose backward is a hand-written
-    BPTT through the recurrence; it saves only U_pre [T, ...] and evaluates
-    the surrogate once over it. U_T, I_T and S_T are small nodes on top of
-    the spike train: a gradient seeded on them reaches the scan's backward,
-    which starts the reverse recurrence from it.
-    """
-    x, u0, i0 = _as_tensor(x), _as_tensor(u0), _as_tensor(i0)
-    if x.ndim < 1 or x.shape[0] < 1 or x.shape[1:] != u0.shape or i0.shape != u0.shape:
-        raise ShapeError(
-            f"lif_scan expects x [T, *{u0.shape}] and state {u0.shape}, "
-            f"got x {x.shape}, U {u0.shape}, I {i0.shape}"
-        )
-    alpha, beta, thr = float(params.alpha), float(params.beta), float(params.thr)
-    surrogate, subtract = params.surrogate, params.reset == "subtract"
-    if sharpness is not None and not (sharpness > 0):
-        raise ValidationError(f"sharpness must be positive, got {sharpness}")
-    tape = _tape_of(x, u0, i0)
-    xd = x.data
-    dtype = np.result_type(xd, u0.data, i0.data)
-    u, i = u0.data, i0.data
+def lif_scan_forward(xd, u, i, alpha, beta, thr, surrogate, subtract, sharpness):
+    """The LIF recurrence over the rows of xd [T, ...] from the states u, i,
+    each step with the expressions and dtypes of neurons.lif_step (of
+    lif_smooth_step with a sharpness). Returns (spikes [T, ...],
+    U_pre [T, ...], U_T, I_T, S_T)."""
+    dtype = np.result_type(xd, u, i)
     if xd.shape[0] == 1:
         # one step, as step_by_step runs it: the loop below without its
         # buffers and row views
@@ -459,21 +455,92 @@ def lif_scan(x, u0, i0, params, sharpness=None):
         else:
             s = surrogate.primitive(p - thr, sharpness).astype(dtype, copy=False)
         u = p - s * thr if subtract else p * (1.0 - s)
-        u_pre, spikes, s_last = p[None], s[None], s
+        return s[None], p[None], u, i, s
+    u_pre = np.empty(xd.shape, dtype=dtype)
+    spikes = np.empty(xd.shape, dtype=dtype)
+    for t in range(xd.shape[0]):
+        i = i * beta + xd[t]
+        p = u_pre[t]
+        np.add(u * alpha, i, out=p)
+        if sharpness is None:
+            spikes[t] = p >= thr
+        else:
+            spikes[t] = surrogate.primitive(p - thr, sharpness)
+        s = spikes[t]
+        u = p - s * thr if subtract else p * (1.0 - s)
+    return spikes, u_pre, u, i, spikes[-1].copy()
+
+
+def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, sharpness):
+    """BPTT through lif_scan_forward from the spike-train gradient g [T, ...]
+    and the gradients gu, gi on U_T, I_T (a Python 0.0 for an unseeded one,
+    which takes the other operand's dtype, as the zero array it stands
+    for). Returns the gradients of (x [T, ...], U_0, I_0); evaluates the
+    surrogate once over U_pre."""
+    gdt = np.result_type(g, u_pre.dtype)
+    d = u_pre - thr
+    if sharpness is None:
+        sg = surrogate(d).astype(gdt, copy=False)
     else:
-        u_pre = np.empty(xd.shape, dtype=dtype)
-        spikes = np.empty(xd.shape, dtype=dtype)
-        for t in range(xd.shape[0]):
-            i = i * beta + xd[t]
-            p = u_pre[t]
-            np.add(u * alpha, i, out=p)
-            if sharpness is None:
-                spikes[t] = p >= thr
-            else:
-                spikes[t] = surrogate.primitive(p - thr, sharpness)
-            s = spikes[t]
-            u = p - s * thr if subtract else p * (1.0 - s)
-        s_last = spikes[-1].copy()
+        sg = surrogate.primitive_grad(d, sharpness).astype(gdt, copy=False)
+    # dL/dU_pre[t] = gU[t] * a[t] + b[t], where gU[t] is the gradient on the
+    # post-reset U[t]: b is the spike-train term through the surrogate, a
+    # the reset's direct path plus its path through S[t]
+    b = g * sg
+    if subtract:
+        a = 1.0 - thr * sg
+    else:
+        if sharpness is None:
+            s_all = (u_pre >= thr).astype(gdt)
+        else:
+            s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
+        a = (1.0 - s_all) - u_pre * sg
+    if u_pre.shape[0] == 1:
+        # one step: the loop below without its buffer and row views
+        dp = gu * a[0] + b[0]
+        di = dp + gi
+        return di[None], dp * alpha, di * beta
+    gx = np.empty(u_pre.shape, dtype=np.result_type(gdt, gu, gi))
+    for t in range(u_pre.shape[0] - 1, -1, -1):
+        dp = gu * a[t] + b[t]
+        di = np.add(dp, gi, out=gx[t])
+        gu = dp * alpha
+        gi = di * beta
+    return gx, gu, gi
+
+
+def lif_args(params, sharpness=None):
+    """The LIF constants lif_scan_forward and lif_scan_backward take after
+    their arrays, from a LIFParams."""
+    if sharpness is not None and not (sharpness > 0):
+        raise ValidationError(f"sharpness must be positive, got {sharpness}")
+    return (float(params.alpha), float(params.beta), float(params.thr), params.surrogate,
+            params.reset == "subtract", sharpness)
+
+
+def lif_scan(x, u0, i0, params, sharpness=None):
+    """Fused LIF recurrence over all T steps of x [T, ...].
+
+    params supplies alpha, beta, thr, surrogate and reset (a LIFParams).
+    Each step computes exactly what neurons.lif_step computes, with the same
+    expressions and dtypes; with a sharpness it computes lif_smooth_step.
+    Returns (spikes [T, ...], U_T, I_T, S_T).
+
+    On a tape the spike train is one node whose backward is the hand-written
+    BPTT of lif_scan_backward; it saves only U_pre [T, ...]. U_T, I_T and
+    S_T are small nodes on top of the spike train: a gradient seeded on
+    them reaches the scan's backward, which starts the reverse recurrence
+    from it.
+    """
+    x, u0, i0 = _as_tensor(x), _as_tensor(u0), _as_tensor(i0)
+    if x.ndim < 1 or x.shape[0] < 1 or x.shape[1:] != u0.shape or i0.shape != u0.shape:
+        raise ShapeError(
+            f"lif_scan expects x [T, *{u0.shape}] and state {u0.shape}, "
+            f"got x {x.shape}, U {u0.shape}, I {i0.shape}"
+        )
+    args = lif_args(params, sharpness)
+    tape = _tape_of(x, u0, i0)
+    spikes, u_pre, u, i, s_last = lif_scan_forward(x.data, u0.data, i0.data, *args)
     if tape is None:
         return Tensor(spikes), Tensor(u), Tensor(i), Tensor(s_last)
 
@@ -481,39 +548,13 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     taped = [t for t, on in zip((x, u0, i0), on_tape) if on]
     # the closures below hold shapes and arrays only, never a Tensor, so a
     # dropped tape is freed by reference counting without a cycle
-    seq_shape = xd.shape
+    seq_shape = u_pre.shape
+    dtype = u_pre.dtype
     final = {}  # gradients seeded on U_T / I_T, consumed by the scan's backward
 
     def bwd(g):
-        gdt = np.result_type(g, dtype)
-        d = u_pre - thr
-        if sharpness is None:
-            sg = surrogate(d).astype(gdt, copy=False)
-        else:
-            sg = surrogate.primitive_grad(d, sharpness).astype(gdt, copy=False)
-        # dL/dU_pre[t] = gU[t] * a[t] + b[t], where gU[t] is the gradient on
-        # the post-reset U[t]: b is the spike-train term through the
-        # surrogate, a the reset's direct path plus its path through S[t]
-        b = g * sg
-        if subtract:
-            a = 1.0 - thr * sg
-        else:
-            if sharpness is None:
-                s_all = (u_pre >= thr).astype(gdt)
-            else:
-                s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
-            a = (1.0 - s_all) - u_pre * sg
-        # an unseeded final state counts as a zero gradient; a Python 0.0
-        # takes the other operand's dtype, as the zero array it stands for
-        gu = final.pop("U", 0.0)
-        gi = final.pop("I", 0.0)
-        gx = np.empty(seq_shape, dtype=np.result_type(gdt, gu, gi))
-        for t in range(seq_shape[0] - 1, -1, -1):
-            dp = gu * a[t] + b[t]
-            di = np.add(dp, gi, out=gx[t])
-            gu = dp * alpha
-            gi = di * beta
-        return [g for g, on in zip((gx, gu, gi), on_tape) if on]
+        grads = lif_scan_backward(u_pre, g, final.pop("U", 0.0), final.pop("I", 0.0), *args)
+        return [g for g, on in zip(grads, on_tape) if on]
 
     out = _record(tape, "lif_scan", spikes, taped, bwd)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import executor, ops
-from .executor import ExecutionPlan, PlanError
+from .executor import ExecutionPlan
 from .tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
 
 
@@ -88,74 +88,61 @@ def spike_count_ce_loss(record, target):
     return SpikeCountCELoss(target).loss_tensor(record)
 
 
-def _bind_params(graph, tape):
-    names = sorted(graph.params)
-    tensors = {name: tape.leaf(graph.params[name]) for name in names}
-    return tensors
+def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed, params=None):
+    """One sample's (loss, gradients by parameter name, summed logits).
 
-
-def _sample_forward(graph, plan, inputs, init_mode, init_seed, params=None):
+    With params (arrays by name), the forward runs untaped on them and the
+    gradients are None. A plan with checkpoint_every runs
+    run_with_checkpointing; otherwise the run goes on one tape.
+    """
     states = executor.init_states(graph, mode=init_mode, seed=init_seed)
-    return executor.run(graph, plan, inputs, states, params=params)
-
-
-def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed):
-    tape = Tape()
-    params_t = _bind_params(graph, tape)
-    _, record = _sample_forward(graph, plan, inputs, init_mode, init_seed, params=params_t)
     head = SpikeCountCELoss(target)
-    loss = head.loss_tensor(record, graph.output_nodes[0])
-    logits = record.outputs[graph.output_nodes[0]].data.sum(axis=0)
-    grads = tape.grads_from_seeds(
-        {loss.node_id: np.ones(loss.shape, dtype=graph.dtype)}
-    )
-    named = {name: grads[t.node_id] for name, t in params_t.items()}
-    return float(loss.data), named, logits
+    out = graph.output_nodes[0]
+    if params is None and plan.checkpoint_every is not None:
+        loss, grads, stats = executor.run_with_checkpointing(graph, plan, inputs, states, head)
+        return loss, grads, stats["logits"]
+    if params is None:
+        tape = Tape()
+        params_t = {name: tape.leaf(graph.params[name]) for name in sorted(graph.params)}
+    else:
+        params_t = {name: Tensor(arr) for name, arr in params.items()}
+    _, record = executor.run(graph, plan, inputs, states, params=params_t)
+    loss = head.loss_tensor(record, out)
+    named = None
+    if params is None:
+        grads = tape.grads_from_seeds({loss.node_id: np.ones(loss.shape, dtype=graph.dtype)})
+        named = {name: grads[t.node_id] for name, t in params_t.items()}
+    return float(loss.data), named, record.outputs[out].data.sum(axis=0)
 
 
-def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed):
-    """Batch-mean loss, batch-mean gradients and each sample's logits, from
-    ordered per-sample sums so the result is deterministic."""
-    if plan.checkpoint_every is not None:
-        raise PlanError(
-            "training runs a full tape and cannot honour checkpoint_every; "
-            "use executor.run_with_checkpointing"
-        )
+def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, params=None):
+    """Batch-mean loss, batch-mean gradients (None with params, which runs
+    the forward only, untaped on those arrays) and each sample's logits,
+    from ordered per-sample sums so the result is deterministic."""
     total_loss = 0.0
     total = None
     logits = []
     for inputs, target in batch:
         loss, named, sample_logits = _sample_loss_and_grad(
-            graph, plan, inputs, target, init_mode, init_seed
+            graph, plan, inputs, target, init_mode, init_seed, params
         )
         total_loss += loss
         logits.append(sample_logits)
-        if total is None:
-            total = named
-        else:
-            total = {k: total[k] + named[k] for k in total}
+        if named is not None:
+            total = named if total is None else {k: total[k] + named[k] for k in total}
     n = len(batch)
-    return total_loss / n, {k: v / n for k, v in total.items()}, logits
+    mean = None if total is None else {k: v / n for k, v in total.items()}
+    return total_loss / n, mean, logits
 
 
 def loss_and_grad(graph, plan, batch, init_mode="zeros", init_seed=0):
-    """Batch-mean loss and parameter gradients (deterministic ordered sums)."""
+    """Batch-mean loss and parameter gradients (deterministic ordered sums).
+    A plan with checkpoint_every differentiates each sample with
+    run_with_checkpointing, which gives the same bytes."""
     if not batch:
         raise ValidationError("batch must be nonempty")
     loss, grads, _ = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed)
     return loss, grads
-
-
-def _batch_mean_loss(graph, plan, batch, init_mode, init_seed, params_arrays=None):
-    params = None
-    if params_arrays is not None:
-        params = {name: Tensor(arr) for name, arr in params_arrays.items()}
-    total = 0.0
-    for inputs, target in batch:
-        _, record = _sample_forward(graph, plan, inputs, init_mode, init_seed, params=params)
-        head = SpikeCountCELoss(target)
-        total += float(head.loss_tensor(record, graph.output_nodes[0]).data)
-    return total / len(batch)
 
 
 def fd_gradient(graph, plan, batch, eps=1e-6, init_mode="zeros", init_seed=0):
@@ -186,9 +173,9 @@ def fd_gradient(graph, plan, batch, eps=1e-6, init_mode="zeros", init_seed=0):
         for i in range(flat.shape[0]):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = _batch_mean_loss(graph, plan, batch, init_mode, init_seed, work)
+            lp = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, work)[0]
             flat[i] = orig - eps
-            lm = _batch_mean_loss(graph, plan, batch, init_mode, init_seed, work)
+            lm = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, work)[0]
             flat[i] = orig
             gflat[i] = (lp - lm) / (2.0 * eps)
         grads[name] = g
@@ -266,8 +253,10 @@ def train(graph, dataset, config, stop_at_accuracy=None, log_every=None):
     """Mini-batch training; returns (graph with updated params, metric rows).
 
     Batches are reshuffled per epoch with a seeded generator and neuron
-    states are re-initialized for every sample. Metric rows are
-    (epoch, mean_loss, accuracy, wall_ms).
+    states are re-initialized for every sample. With config.plan's
+    checkpoint_every set, each sample is differentiated by
+    run_with_checkpointing. Metric rows are (epoch, mean_loss, accuracy,
+    wall_ms).
     """
     if not dataset:
         raise ValidationError("dataset must be nonempty")

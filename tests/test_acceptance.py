@@ -126,19 +126,21 @@ def test_criterion_4_checkpointing_bit_identical():
     loss_t = SpikeCountCELoss(target).loss_tensor(rec, g.output_nodes[0])
     full_grads = tape.grads_from_seeds({loss_t.node_id: np.ones((), dtype=g.dtype)})
     ref = {name: full_grads[t.node_id] for name, t in params_t.items()}
-    full_nodes = len(tape)
 
-    plan = ExecutionPlan("step_by_step", checkpoint_every=10)
-    loss, grads, stats = run_with_checkpointing(
-        g, plan, x, init_states(g), SpikeCountCELoss(target)
-    )
+    peak = {}
+    for k in (100, 10):
+        plan = ExecutionPlan("step_by_step", checkpoint_every=k)
+        loss, grads, stats = run_with_checkpointing(
+            g, plan, x, init_states(g), SpikeCountCELoss(target)
+        )
+        peak[k] = stats["peak_saved_bytes"]
     identical = loss == float(loss_t.data) and all(
         np.array_equal(grads[name], ref[name]) for name in ref
     )
-    smaller = stats["peak_tape_nodes"] < full_nodes
+    smaller = peak[10] < peak[100]
     report(4, "checkpointing (T=100, k=10) bit-identical to full BPTT with smaller tape",
            identical and smaller,
-           f"grads bit-identical, peak tape {stats['peak_tape_nodes']} < full {full_nodes}")
+           f"grads bit-identical, peak saved bytes {peak[10]} at k=10 < {peak[100]} at k=T")
 
 
 def test_criterion_5_delayed_feedback_and_cycle_rejection():

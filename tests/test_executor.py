@@ -15,7 +15,7 @@ from spikegrad.executor import (
     run_with_checkpointing,
     write_trace,
 )
-from spikegrad.tensor import ShapeError, Tape, ValidationError
+from spikegrad.tensor import ShapeError, Tape, Tensor, ValidationError
 from spikegrad.topology import (
     conv_layer,
     flatten_layer,
@@ -134,28 +134,26 @@ class TestSchedulerEquivalence:
         _, b = run(g, ExecutionPlan("layer_by_layer"), x, init_states(g))
         assert np.allclose(a.outputs[3].data, b.outputs[3].data, atol=1e-6)
 
-    def test_layer_by_layer_one_scan_node_per_lif_layer(self):
-        g = mlp(seed=2)
+    @staticmethod
+    def taped_run_tags(g, plan, x):
         tape = Tape()
         params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
-        x = (np.random.default_rng(1).random((30, 4)) < 0.3).astype(np.float64)
-        run(g, ExecutionPlan("layer_by_layer"), x, init_states(g), params=params)
-        assert tape._tags.count("lif_scan") == len(g.stateful_nodes())
-        assert "threshold" not in tape._tags and "stack_rows" not in tape._tags
+        run(g, plan, x, init_states(g), params=params)
+        return tape._tags
 
-    def test_step_by_step_one_scan_node_per_lif_layer_per_step(self):
-        g = mlp(seed=2, smooth=20.0)
-        tape = Tape()
-        params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
+    @pytest.mark.parametrize("scheduler,smooth", [("layer_by_layer", None),
+                                                  ("step_by_step", 20.0)])
+    def test_taped_run_is_one_graph_run_node(self, scheduler, smooth):
+        # the parameter leaves, one graph_run node, and one output node for
+        # the output record and for U, I and S of each LIF layer
+        g = mlp(seed=2, smooth=smooth)
         x = (np.random.default_rng(1).random((7, 4)) < 0.3).astype(np.float64)
-        run(g, ExecutionPlan("step_by_step"), x, init_states(g), params=params)
-        assert tape._tags.count("lif_scan") == 7 * len(g.stateful_nodes())
-        assert "threshold" not in tape._tags and "smooth_spike" not in tape._tags
+        outputs = 1 + 3 * len(g.stateful_nodes())
+        assert self.taped_run_tags(g, ExecutionPlan(scheduler), x) == (
+            ["leaf"] * len(g.params) + ["graph_run"] + ["graph_run_out"] * outputs)
 
-    def test_recurrent_step_tape_nodes_pinned(self):
-        # linear -> LIF with a delay-1 linear feedback -> linear -> LIF: per
-        # step 3 matmuls, the fan-in add and, per LIF layer, the scan node
-        # and its U_T/I_T/S_T nodes; the node program records no reshape
+    def test_recurrent_layout_pinned(self, monkeypatch):
+        # linear -> LIF with a delay-1 linear feedback -> linear -> LIF
         g = graph_build(
             [linear_layer(6, in_features=4), lif_layer(6), linear_layer(6),
              linear_layer(3), lif_layer(3)],
@@ -163,21 +161,26 @@ class TestSchedulerEquivalence:
             input_nodes=[0], output_nodes=[4], input_shape=(4,), seed=1, dtype=np.float64,
         )
         x = (np.random.default_rng(3).random((10, 4)) < 0.4).astype(np.float64)
-        tags = {}
+        # the tape does not grow with T
         for steps in (1, 5):
-            tape = Tape()
-            params = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
-            run(g, ExecutionPlan("step_by_step"), x[:steps], init_states(g), params=params)
-            tags[steps] = Counter(tape._tags)
-        per_four_steps = tags[5] - tags[1]
-        assert per_four_steps == {"matmul": 12, "add": 4, "lif_scan": 8, "lif_scan_u": 8,
-                                  "lif_scan_i": 8, "lif_scan_s": 8}
+            assert Counter(self.taped_run_tags(g, ExecutionPlan("step_by_step"), x[:steps])) == {
+                "leaf": 3, "graph_run": 1, "graph_run_out": 1 + 3 * 2}
+        made = []
+        init = Tape.__init__
+
+        def counting_init(tape):
+            init(tape)
+            made.append(tape)
+
+        monkeypatch.setattr(Tape, "__init__", counting_init)
         _, _, stats = run_with_checkpointing(
             g, ExecutionPlan("step_by_step", checkpoint_every=5), x, init_states(g),
             SpikeCountCELoss(np.array([0.0, 1.0, 0.0])),
         )
-        # 5 steps of 12 nodes plus the leaves: 3 weights, U/I/S of 2 layers, 1 prev
-        assert stats["peak_tape_nodes"] == 5 * 12 + 3 + 6 + 1
+        assert made == [] and stats["peak_tape_nodes"] == 0
+        # per step, float64: the input row [1, 4] and the hidden spikes [1, 6]
+        # that two matmuls read, U_pre [1, 6] and [1, 3]; 5 steps a segment
+        assert stats["peak_saved_bytes"] == 5 * (4 + 6 + 6 + 3) * 8
 
     def test_layer_by_layer_rejects_feedback(self):
         g = sequential_recurrent(
@@ -339,13 +342,15 @@ class TestCheckpointing:
                 assert np.array_equal(grads[name], ref_grads[name]), (k, name)
             assert stats["segments"] == -(-30 // k)
 
-    def test_peak_tape_smaller_than_full(self):
-        _, _, full_nodes = full_bptt(self.g, self.x, self.target)
-        plan = ExecutionPlan("step_by_step", checkpoint_every=5)
-        _, _, stats = run_with_checkpointing(
-            self.g, plan, self.x, init_states(self.g), self.head
-        )
-        assert stats["peak_tape_nodes"] < full_nodes
+    def test_peak_saved_bytes_smaller_than_full(self):
+        peak = {}
+        for k in (5, 30):
+            plan = ExecutionPlan("step_by_step", checkpoint_every=k)
+            _, _, stats = run_with_checkpointing(
+                self.g, plan, self.x, init_states(self.g), self.head
+            )
+            peak[k] = stats["peak_saved_bytes"]
+        assert 0 < peak[5] < peak[30]
 
     def test_checkpoint_every_exceeding_t_rejected(self):
         plan = ExecutionPlan("step_by_step", checkpoint_every=31)
@@ -392,3 +397,23 @@ class TestTrace:
         assert lines[0] == "t,node_id,neuron_idx,spike"
         assert len(lines) == 1 + 3 * 2
         assert lines[1] == "0,0,0,1"  # 1.5 crosses the unit threshold immediately
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_write_trace_bytes_match_per_element_format(self, tmp_path, dtype):
+        # hidden records of a smooth graph, plus hand-picked values: -0,
+        # tiny, huge and values that .6g rounds
+        g = mlp(seed=1, dtype=dtype, smooth=5.0)
+        x = np.random.default_rng(2).uniform(0.0, 2.0, (6, 4))
+        _, rec = run(g, ExecutionPlan(), x, init_states(g), record_hidden=True)
+        special = np.array([[-0.0, 0.0, 1.0, 1e-7, -2.5e-30, 123456789.0],
+                            [2.0 / 3, -1.0 / 3, 0.1, 1e30, 5e-45, -0.0]], dtype=dtype)
+        rec.hidden[7] = Tensor(np.concatenate([special] * 3))
+        path = tmp_path / "trace.csv"
+        write_trace(rec, path)
+        want = ["t,node_id,neuron_idx,spike\n"]
+        for nid in sorted(rec.hidden):
+            data = rec.hidden[nid].data.reshape(rec.steps, -1)
+            for t in range(rec.steps):
+                for idx in range(data.shape[1]):
+                    want.append(f"{t},{nid},{idx},{data[t][idx]:.6g}\n")
+        assert path.read_bytes() == "".join(want).encode()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spikegrad import ops
+from spikegrad.executor import ExecutionPlan, init_states, run
 from spikegrad.neurons import (
     LIFParams,
     NeuronState,
@@ -19,6 +20,7 @@ from spikegrad.neurons import (
 )
 from spikegrad.surrogates import SURROGATE_TAGS, SurrogateFn
 from spikegrad.tensor import ShapeError, Tape, Tensor, ValidationError
+from spikegrad.topology import lif_layer, linear_layer, sequential
 
 
 def params(**kw):
@@ -274,9 +276,15 @@ class TestLifScan:
         assert len(tape) - before == 4
         assert tape._tags[spikes.node_id] == "lif_scan"
 
-    def test_dropped_tape_freed_without_cycle_collector(self):
-        # a reference cycle through the backward closure would keep every
-        # training step's tape alive until the next gc pass
+    @pytest.mark.parametrize("scheduler", ["layer_by_layer", "step_by_step"])
+    def test_dropped_tape_freed_without_cycle_collector(self, scheduler):
+        # a reference cycle through a backward closure would keep every
+        # training step's tape alive until the next gc pass: neither the
+        # scan's closures nor a taped run's graph_run closures hold a Tensor
+        g = sequential(
+            [linear_layer(3, in_features=2), lif_layer(3), linear_layer(2), lif_layer(2)],
+            input_shape=(2,), dtype=np.float64,
+        )
         gc.disable()
         try:
             tape = Tape()
@@ -284,6 +292,19 @@ class TestLifScan:
             lif_scan(init_state(3, dtype=np.float64), x, params())
             ref = weakref.ref(tape)
             del tape, x
+            assert ref() is None
+
+            tape = Tape()
+            ps = {name: tape.leaf(g.params[name]) for name in sorted(g.params)}
+            x = tape.leaf(np.full((5, 2), 0.8))
+            states = {nid: NeuronState(U=tape.leaf(st.U.data), I=tape.leaf(st.I.data), S=st.S)
+                      for nid, st in init_states(g).items()}
+            final, rec = run(g, ExecutionPlan(scheduler), x, states, params=ps)
+            out = rec.outputs[g.output_nodes[0]]
+            tape.grads_from_seeds({out.node_id: np.ones(out.shape),
+                                   final[1].U.node_id: np.ones(3)})
+            ref = weakref.ref(tape)
+            del tape, ps, x, states, final, rec, out
             assert ref() is None
         finally:
             gc.enable()

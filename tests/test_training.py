@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from spikegrad import ops
-from spikegrad.executor import ExecutionPlan, PlanError, SpikeRecord
+from spikegrad.executor import ExecutionPlan, SpikeRecord
 from spikegrad.neurons import LIFParams, NeuronState, lif_step
 from spikegrad.tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
-from spikegrad.topology import lif_layer, linear_layer, sequential
+from spikegrad.topology import lif_layer, linear_layer, sequential, sequential_recurrent
 from spikegrad.training import (
     GradReport,
     SpikeCountCELoss,
@@ -143,10 +143,21 @@ class TestLossAndGrad:
         with pytest.raises(ValidationError):
             loss_and_grad(smooth_mlp(), ExecutionPlan(), [])
 
-    def test_checkpoint_every_rejected(self):
-        batch = [(np.ones((4, 3)), np.array([1.0, 0.0]))]
-        with pytest.raises(PlanError, match="run_with_checkpointing"):
-            loss_and_grad(smooth_mlp(), ExecutionPlan(checkpoint_every=2), batch)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_checkpoint_every_gives_full_tape_bytes(self, k, dtype):
+        g = sequential_recurrent(
+            [linear_layer(5, in_features=3), lif_layer(5), linear_layer(2), lif_layer(2)],
+            feedback=[(3, 1)], input_shape=(3,), seed=2, dtype=dtype,
+        )
+        rng = np.random.default_rng(4)
+        batch = [((rng.random((6, 3)) < 0.5) * 1.5, np.eye(2)[i % 2]) for i in range(3)]
+        loss, grads = loss_and_grad(g, ExecutionPlan("step_by_step"), batch)
+        ck_loss, ck_grads = loss_and_grad(g, ExecutionPlan(checkpoint_every=k), batch)
+        assert ck_loss == loss and sorted(ck_grads) == sorted(grads)
+        for name in grads:
+            assert ck_grads[name].dtype == grads[name].dtype == dtype
+            assert ck_grads[name].tobytes() == grads[name].tobytes(), name
 
     def test_deterministic(self):
         g = smooth_mlp()
@@ -311,10 +322,17 @@ class TestTrainLoop:
         with pytest.raises(ValidationError):
             train(self.graph(), [], TrainConfig())
 
-    def test_checkpoint_every_rejected(self):
-        cfg = TrainConfig(epochs=1, batch_size=4, plan=ExecutionPlan(checkpoint_every=2))
-        with pytest.raises(PlanError, match="run_with_checkpointing"):
-            train(self.graph(), self.tiny_dataset(), cfg)
+    def test_checkpoint_every_trains_like_full_tape(self):
+        runs = []
+        for plan in (ExecutionPlan("step_by_step"), ExecutionPlan(checkpoint_every=4)):
+            cfg = TrainConfig(epochs=2, batch_size=4, learning_rate=1e-2, optimizer="adam",
+                              plan=plan)
+            runs.append(train(self.graph(seed=3), self.tiny_dataset(), cfg))
+        (g_full, m_full), (g_ck, m_ck) = runs
+        # loss and accuracy per epoch, up to wall-clock timings
+        assert [row[:3] for row in m_ck] == [row[:3] for row in m_full]
+        for name in g_full.params:
+            assert g_ck.params[name].tobytes() == g_full.params[name].tobytes(), name
 
     def test_nonfinite_loss_raises_diverged(self, monkeypatch):
         # spike-count logits are always finite, so force a NaN loss at the

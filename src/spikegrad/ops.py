@@ -161,10 +161,6 @@ def sum_all(t):
 def reshape(t, shape):
     """t viewed as shape; t itself, with no tape node, when the shape matches."""
     t = _as_tensor(t)
-    # identity checks come first, the cheap one before the normalisation, and
-    # math.prod, not np.prod, sizes the rest: this runs on every time step
-    if shape == t.shape:
-        return t
     shape = tuple(int(s) for s in shape)
     if shape == t.shape:
         return t
@@ -495,11 +491,6 @@ def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, s
         else:
             s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
         a = (1.0 - s_all) - u_pre * sg
-    if u_pre.shape[0] == 1:
-        # one step: the loop below without its buffer and row views
-        dp = gu * a[0] + b[0]
-        di = dp + gi
-        return di[None], dp * alpha, di * beta
     gx = np.empty(u_pre.shape, dtype=np.result_type(gdt, gu, gi))
     for t in range(u_pre.shape[0] - 1, -1, -1):
         dp = gu * a[t] + b[t]

@@ -188,21 +188,15 @@ class Tape:
     def param_node_ids(self):
         return [i for i, p in enumerate(self._is_param) if p]
 
-    def grads_from_seeds(self, seeds, init_param_grads=None):
+    def grads_from_seeds(self, seeds):
         """Reverse sweep from arbitrary seed gradients.
 
         seeds: {node_id: gradient array matching the node's shape}. Multiple
-        seeds for one node must be pre-summed by the caller. init_param_grads
-        pre-loads leaf grad slots (used to continue accumulation across
-        checkpoint segments). Returns {node_id: array} for every param leaf.
+        seeds for one node must be pre-summed by the caller. Returns
+        {node_id: array} for every param leaf.
         """
         n = len(self._tags)
         grads = [None] * n
-        if init_param_grads:
-            for nid, g in init_param_grads.items():
-                if not self._is_param[nid]:
-                    raise ContractError(f"init grad for non-parameter node {nid}")
-                grads[nid] = np.array(g, copy=True)
         for nid, g in seeds.items():
             g = np.asarray(g)
             if g.shape != self._shapes[nid]:

@@ -20,13 +20,13 @@ loop order:
 A run whose parameters, input or initial states are on a tape records one
 graph_run node, plus one output node per [T, ...] record and per final U, I
 and S. The forward saves what the reverse walk reads: each LIF's U_pre,
-each matmul's input and each conv's im2col columns. The node's backward
-walks the slabs in reverse and, within a slab, the program in reverse. It
-sums every gradient in the order a tape with one node per op sums it: a
-value's loss seed first, then its consumers at t+1 through delay-1 edges,
-then its consumers at t in reverse program order, then the +0 a LIF's
-final-state gradient hands over; parameter gradients are summed in reverse
-time.
+each matmul's input and each conv's zero-padded input, split into its flat
+phase planes (ops.conv2d_forward). The node's backward walks the slabs in
+reverse and, within a slab, the program in reverse. It sums every gradient
+in the order a tape with one node per op sums it: a value's loss seed first,
+then its consumers at t+1 through delay-1 edges, then its consumers at t in
+reverse program order, then the +0 a LIF's final-state gradient hands over;
+parameter gradients are summed in reverse time.
 
 run and run_with_checkpointing share one input boundary: the input must be a
 finite [T, *input_shape(graph)] array, and an untaped one is cast to
@@ -70,10 +70,9 @@ class ExecutionPlan:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValidationError(
-                f"checkpoint_every must be positive, got {self.checkpoint_every}"
-            )
+        k = self.checkpoint_every
+        if k is not None and not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
+            raise ValidationError(f"checkpoint_every must be a positive int, got {k!r}")
 
 
 @dataclass
@@ -252,7 +251,7 @@ def _forward(ctx, params, vals, states, saved):
     appends the arrays _backward reads, in instruction order."""
     rows = vals[0].shape[0]
     lifs = ctx.lifs
-    # an untaped run drops U_pre and the im2col columns at once, as the ops did
+    # an untaped run drops U_pre and the conv phase planes at once, as the ops did
     keep = (lambda a: None) if saved is None else saved.append
     for kind, out, src, aux, _ in ctx.instrs:
         if kind is _MATMUL:
@@ -269,9 +268,9 @@ def _forward(ctx, params, vals, states, saved):
         elif kind is _RESHAPE:
             vals[out] = vals[src].reshape((rows,) + aux[0])
         elif kind is _CONV:
-            vals[out], cols = ops.conv2d_forward(vals[src], params[aux[0]], aux[1], aux[2])
-            keep(cols)
-            del cols
+            vals[out], planes = ops.conv2d_forward(vals[src], params[aux[0]], aux[1], aux[2])
+            keep(planes)
+            del planes
         else:
             vals[out] = np.zeros((rows,) + aux, dtype=ctx.graph.dtype)
 

@@ -10,6 +10,7 @@ else raises ShapeError so every backward rule stays trivially auditable.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -268,80 +269,136 @@ def matmul(a, b):
     return _record(tape, "matmul", out, taped, bwd)
 
 
-def _conv_geometry(h, w, k, stride, padding):
-    ho = (h + 2 * padding - k) // stride + 1
-    wo = (w + 2 * padding - k) // stride + 1
-    if k > h + 2 * padding or k > w + 2 * padding or ho < 1 or wo < 1:
-        raise ShapeError(
-            f"kernel {k}x{k} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
-        )
-    return ho, wo
+# the layout and the taps are cached per geometry: a one-row step_by_step
+# slab would otherwise rebuild them on every step
+@functools.lru_cache(maxsize=None)
+def _plane_layout(h, w, k, stride, padding):
+    """The phase-plane layout of a conv over [..., h, w] inputs.
+
+    The zero-padded input splits into stride x stride phase planes
+    xpad[a::stride, b::stride], each stored as a flat row of a common
+    hq x wq grid plus a tail of (k - 1) // stride zeros. Tap (i, j) of the
+    kernel reads, for every output position, the plane element at a fixed
+    distance from it: output (r, c), computed on a ho x wq grid whose
+    columns from wo on are cropped, reads plane (i % stride, j % stride) at
+    r * wq + c + (i // stride) * wq + j // stride. So each tap's operand is
+    one contiguous window of the flat plane, and the tail holds what the
+    cropped columns of the last output row read past the grid.
+
+    Returns (ho, wo, hq, wq, flat plane length, phases). phases holds, per
+    phase (a, b), (plane index, grid rows, grid cols, input rows, input
+    cols): the slices of the plane's grid and of the input that hold the
+    same elements, padded row a + stride * r being input row
+    a + stride * r - padding.
+    """
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if k > hp or k > wp:
+        raise ShapeError(f"kernel {k}x{k} larger than padded input {hp}x{wp}")
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    hq, wq = -(-hp // stride), -(-wp // stride)
+    phases = []
+    for a in range(stride):
+        for b in range(stride):
+            xr, xc = (a - padding) % stride, (b - padding) % stride  # first input row, col
+            r0, c0 = (xr + padding) // stride, (xc + padding) // stride
+            rows = slice(r0, r0 + len(range(xr, h, stride)))
+            cols = slice(c0, c0 + len(range(xc, w, stride)))
+            phases.append((a * stride + b, rows, cols,
+                           slice(xr, None, stride), slice(xc, None, stride)))
+    return ho, wo, hq, wq, hq * wq + (k - 1) // stride, phases
 
 
-def _im2col(x, k, stride, padding):
-    # x: [B, C, H, W] -> cols [B, C*k*k, Ho*Wo]
-    b, c, h, w = x.shape
-    ho, wo = _conv_geometry(h, w, k, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride, :, :]  # [B, C, Ho, Wo, k, k]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * k * k, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
+@functools.lru_cache(maxsize=None)
+def _taps(k, stride, wq):
+    """(i, j, plane index, window offset) of each kernel tap, in the fixed
+    order every conv sums them."""
+    return [(i, j, (i % stride) * stride + j % stride, (i // stride) * wq + j // stride)
+            for i in range(k) for j in range(k)]
 
 
-def _col2im(dcols, in_shape, k, stride, padding):
-    b, c, h, w = in_shape
-    ho, wo = _conv_geometry(h, w, k, stride, padding)
-    dx = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=dcols.dtype)
-    d6 = dcols.reshape(b, c, k, k, ho, wo)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += d6[
-                :, :, i, j, :, :
-            ]
-    if padding:
-        dx = dx[:, :, padding:-padding, padding:-padding]
-    return dx
+def _tap_sum(products):
+    """The sum, in order, of np.matmul(m[None], window) over the (m, window)
+    pairs; None for no pairs. Each row's products have the shapes of m and
+    of one row's window, so a row sums the same bytes in a slab of any size."""
+    out = tmp = None
+    for m, window in products:
+        if out is None:
+            out = np.matmul(m[None], window)
+            tmp = np.empty_like(out)
+        else:
+            out += np.matmul(m[None], window, out=tmp)
+    return out
 
 
 def conv2d_forward(x4, kernel, stride, padding):
     """Cross-correlation of x4 [B, C, H, W] with kernel [Co, C, k, k];
-    returns (output [B, Co, Ho, Wo], the im2col columns conv2d_backward
-    reads)."""
+    returns (output [B, Co, Ho, Wo], the flat phase planes
+    [B, C, stride * stride, length] conv2d_backward reads).
+
+    There are no im2col columns: each of the k * k taps is one product of
+    its [Co, C] kernel slice with a shifted window of a phase plane (see
+    _plane_layout), and the taps are summed in one fixed order."""
     b, c, h, w = x4.shape
     co, ci, kh, kw = kernel.shape
     if kh != kw:
         raise ShapeError(f"only square kernels supported, got {kernel.shape}")
     if ci != c:
         raise ShapeError(f"kernel expects {ci} input channels, input has {c}")
-    cols, ho, wo = _im2col(x4, kh, stride, padding)
-    kr = kernel.reshape(co, ci * kh * kw)
-    return np.matmul(kr[None, :, :], cols).reshape(b, co, ho, wo), cols
+    ho, wo, hq, wq, n, phases = _plane_layout(h, w, kh, stride, padding)
+    planes = np.zeros((b, c, stride * stride, n), dtype=x4.dtype)
+    grid = planes[..., : hq * wq].reshape(b, c, stride * stride, hq, wq)
+    for p, r, col, xr, xc in phases:
+        grid[:, :, p, r, col] = x4[:, :, xr, xc]
+    span = ho * wq
+    per_tap = kernel.transpose(2, 3, 0, 1).copy()  # a contiguous [Co, C] per tap
+    out = _tap_sum((per_tap[i, j], planes[:, :, p, off : off + span])
+                   for i, j, p, off in _taps(kh, stride, wq))
+    return out.reshape(b, co, ho, wq)[..., :wo], planes
 
 
-def conv2d_backward(g, cols, kernel, x_shape, stride, padding, need_x, need_k):
+def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k):
     """Gradients (of the input, of the kernel; None where not needed) of
-    conv2d_forward for the output gradient g [B, Co, Ho, Wo]."""
+    conv2d_forward for the output gradient g [B, Co, Ho, Wo] and the phase
+    planes it returned.
+
+    g goes on the ho x wq output grid, zero in the cropped columns, inside a
+    flat buffer with a zero lead as long as the largest window offset. A
+    plane's gradient is then the sum over its taps of the tap's transposed
+    [C, Co] kernel slice times the buffer's window shifted back by the tap's
+    offset, which is scattered back to the input. dk's tap (i, j) is g times
+    the tap's window, transposed, summed over rows."""
     b, co, ho, wo = g.shape
-    _, ci, kh, kw = kernel.shape
-    kr = kernel.reshape(co, ci * kh * kw)
-    gr = g.reshape(b, co, ho * wo)
+    _, ci, k, _ = kernel.shape
+    _, _, hq, wq, _, phases = _plane_layout(x_shape[2], x_shape[3], k, stride, padding)
+    span = ho * wq
+    taps = _taps(k, stride, wq)
+    lead = taps[-1][3]
+    gpad = np.zeros((b, co, lead + hq * wq), dtype=g.dtype)
+    gw = gpad[:, :, lead : lead + span]
+    gw.reshape(b, co, ho, wq)[..., :wo] = g
     dx = dk = None
     if need_x:
-        dcols = np.matmul(kr.T[None, :, :], gr)
-        dx = _col2im(dcols, x_shape, kh, stride, padding)
+        per_tap = kernel.transpose(2, 3, 1, 0).copy()  # a contiguous [C, Co] per tap
+        dx = np.empty(x_shape, dtype=np.result_type(g, kernel))
+        for p, r, col, xr, xc in phases:
+            dplane = _tap_sum((per_tap[i, j], gpad[:, :, lead - off : lead - off + hq * wq])
+                              for i, j, tp, off in taps if tp == p)
+            # a phase no tap reads (stride > k) gets no gradient
+            dx[:, :, xr, xc] = 0 if dplane is None else dplane.reshape(b, ci, hq, wq)[:, :, r, col]
     if need_k:
-        dk = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
+        per_row = np.empty((k * k, b, co, ci), dtype=np.result_type(g, planes))
+        for t, (_, _, p, off) in enumerate(taps):
+            np.matmul(gw, planes[:, :, p, off : off + span].transpose(0, 2, 1), out=per_row[t])
+        dk = np.ascontiguousarray(per_row.sum(axis=1).reshape(k, k, co, ci).transpose(2, 3, 0, 1))
     return dx, dk
 
 
 def _conv2d_taped(x4, kernel, stride, padding, taped_x, taped_k):
-    out, cols = conv2d_forward(x4, kernel, stride, padding)
+    out, planes = conv2d_forward(x4, kernel, stride, padding)
     x_shape = x4.shape
 
     def bwd(g):
-        dx, dk = conv2d_backward(g, cols, kernel, x_shape, stride, padding, taped_x, taped_k)
+        dx, dk = conv2d_backward(g, planes, kernel, x_shape, stride, padding, taped_x, taped_k)
         return [d for d in (dx, dk) if d is not None]
 
     return out, bwd
@@ -394,10 +451,11 @@ def conv2d_batched(x, kernel, stride=1, padding=0):
 
 
 def validate_conv_args(stride, padding):
-    if not (isinstance(stride, int) and stride >= 1):
-        raise ValidationError(f"stride must be a positive int, got {stride}")
-    if not (isinstance(padding, int) and padding >= 0):
-        raise ValidationError(f"padding must be a nonnegative int, got {padding}")
+    """A bool is an int to Python, but no stride or padding."""
+    if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
+        raise ValidationError(f"stride must be a positive int, got {stride!r}")
+    if not (isinstance(padding, int) and not isinstance(padding, bool) and padding >= 0):
+        raise ValidationError(f"padding must be a nonnegative int, got {padding!r}")
 
 
 def threshold(u, thr, surrogate):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,8 +33,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("sgd", "adam"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise ValidationError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        # a NaN learning rate or a beta of 1 (Adam divides by 1 - beta**t)
+        # would train NaN weights without an error
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValidationError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not (0 <= getattr(self, name) < 1):
+                raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:

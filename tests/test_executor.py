@@ -53,6 +53,12 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             ExecutionPlan(checkpoint_every=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, False, "2"])
+    def test_checkpoint_every_must_be_an_int(self, k):
+        # 2.5 failed later inside range(); True was taken as 1
+        with pytest.raises(ValidationError):
+            ExecutionPlan("step_by_step", checkpoint_every=k)
+
 
 class TestInitStates:
     def test_zeros_for_all_stateful_nodes(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikegrad import ops
 from spikegrad.surrogates import SurrogateFn
@@ -162,6 +164,94 @@ class TestConv2d:
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+
+    @pytest.mark.parametrize("stride,padding", [(True, 0), (1, False), (1, True), (1.0, 0),
+                                                (0, 0), (1, -1)])
+    def test_bad_stride_or_padding_rejected(self, stride, padding):
+        with pytest.raises(ValidationError):
+            ops.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))),
+                       stride=stride, padding=padding)
+
+
+def naive_conv(x, k, stride, padding, g):
+    """Cross-correlation of x [B, C, H, W] with k [Co, C, kh, kh] by nested
+    loops over output positions and taps, in float64, with the input and
+    kernel gradients for the output gradient g: (out, dx, dk)."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    b, c, h, w = x.shape
+    co, _, kh, _ = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kh) // stride + 1
+    out = np.zeros((b, co, ho, wo))
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for r in range(ho):
+        for q in range(wo):
+            for i in range(kh):
+                for j in range(kh):
+                    v = xp[:, :, r * stride + i, q * stride + j]  # [B, C]
+                    out[:, :, r, q] += v @ k[:, :, i, j].T
+                    dxp[:, :, r * stride + i, q * stride + j] += g[:, :, r, q] @ k[:, :, i, j]
+                    dk[:, :, i, j] += g[:, :, r, q].T @ v
+    return out, dxp[:, :, padding : padding + h, padding : padding + w], dk
+
+
+@st.composite
+def conv_cases(draw):
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, 2))
+    k = draw(st.integers(1, 4))
+    lo = max(1, k - 2 * padding)
+    h, w = draw(st.integers(lo, lo + 6)), draw(st.integers(lo, lo + 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    b, c, co = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.uniform(-1, 1, (b, c, h, w)).astype(dtype)
+    kernel = rng.uniform(-1, 1, (co, c, k, k)).astype(dtype)
+    return x, kernel, stride, padding, rng
+
+
+class TestConvKernel:
+    """conv2d_forward/_backward (per-tap products over phase planes) against
+    naive_conv, for every stride, padding and kernel size the strategy draws,
+    square and non-square inputs, in both precisions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_cases())
+    def test_matches_naive_cross_correlation(self, case):
+        x, kernel, stride, padding, rng = case
+        out, planes = ops.conv2d_forward(x, kernel, stride, padding)
+        g = rng.uniform(-1, 1, out.shape).astype(x.dtype)
+        dx, dk = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, True)
+        want = naive_conv(x, kernel, stride, padding, g)
+        # each value is a sum of at most C * k * k (or B * Ho * Wo) products,
+        # so its rounding error stays below a few ulps of the sum of their
+        # magnitudes, which the naive sums of |x|, |k| and |g| bound
+        bound = naive_conv(np.abs(x), np.abs(kernel), stride, padding, np.abs(g))
+        tol = 1e-5 if x.dtype == np.float32 else 1e-13
+        for got, ref, mag in zip((out, dx, dk), want, bound):
+            assert got.shape == ref.shape and got.dtype == x.dtype
+            assert np.all(np.abs(got - ref) <= tol * mag + 1e-30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conv_cases())
+    def test_rows_are_bytes_of_per_row_convs(self, case):
+        """A row's output and input gradient are the same bytes in a slab of
+        any size: the schedulers' float32 bit-identity rests on this."""
+        x, kernel, stride, padding, rng = case
+        x, kernel = x.astype(np.float32), kernel.astype(np.float32)
+        out, planes = ops.conv2d_forward(x, kernel, stride, padding)
+        g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+        dx, _ = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, False)
+        rows, drows = [], []
+        for r in range(x.shape[0]):
+            o, p = ops.conv2d_forward(x[r : r + 1], kernel, stride, padding)
+            rows.append(o[0])
+            drows.append(ops.conv2d_backward(g[r : r + 1], p, kernel, x[r : r + 1].shape,
+                                             stride, padding, True, False)[0][0])
+        assert np.stack(rows).tobytes() == np.ascontiguousarray(out).tobytes()
+        assert np.stack(drows).tobytes() == np.ascontiguousarray(dx).tobytes()
 
 
 class TestElementwise:

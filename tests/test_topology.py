@@ -4,11 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikegrad import executor
-from spikegrad.benchcli import gen_toy
 from spikegrad.executor import ExecutionPlan
 from spikegrad.neurons import LIFParams
+from spikegrad.surrogates import get_surrogate
 from spikegrad.topology import (
     CycleError,
     GraphError,
@@ -26,6 +28,46 @@ from spikegrad.topology import (
     topo_order,
 )
 from spikegrad.training import TrainConfig, train
+
+
+@st.composite
+def trained_graph_cases(draw):
+    """(build(dtype), dataset, TrainConfig): a random MLP, recurrent net or
+    CNN with random widths, LIF constants and surrogate, a random two-class
+    spike dataset and a short SGD or Adam run."""
+    kind = draw(st.sampled_from(["mlp", "recurrent", "cnn"]))
+    seed = draw(st.integers(0, 2**16))
+    # surrogates without a compact support, and slopes and thresholds low
+    # enough that a step moves some float32 weight by more than an ulp
+    surrogate = get_surrogate(draw(st.sampled_from(["superspike", "sigmoid_derivative", "arctan"])),
+                              slope=draw(st.floats(1.0, 5.0)))
+    lif = LIFParams(alpha=draw(st.floats(0.5, 0.95)), beta=draw(st.floats(0.5, 0.95)),
+                    thr=draw(st.floats(0.1, 0.5)), surrogate=surrogate,
+                    reset=draw(st.sampled_from(["subtract", "to_zero"])))
+    hidden = draw(st.integers(2, 6))
+    if kind == "cnn":
+        stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+        in_shape = (draw(st.integers(1, 2)), draw(st.integers(3, 6)), draw(st.integers(3, 6)))
+        layers = [conv_layer(in_shape[0], hidden, 3, stride=stride, padding=padding),
+                  lif_layer(params=lif), flatten_layer(), linear_layer(2), lif_layer(2, lif)]
+    else:
+        in_shape = (draw(st.integers(2, 5)),)
+        layers = [linear_layer(hidden, in_features=in_shape[0]), lif_layer(hidden, lif),
+                  linear_layer(2), lif_layer(2, lif)]
+
+    def build(dtype):
+        if kind == "recurrent":
+            return sequential_recurrent(layers, feedback=[(3, 1)], input_shape=in_shape,
+                                        seed=seed, dtype=dtype)
+        return sequential(layers, input_shape=in_shape, seed=seed, dtype=dtype)
+
+    rng = np.random.default_rng(seed)
+    steps = draw(st.integers(2, 6))
+    data = [((rng.random((steps,) + in_shape) < 0.5).astype(np.float64), np.eye(2)[i % 2])
+            for i in range(4)]
+    cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.1,
+                      optimizer=draw(st.sampled_from(["sgd", "adam"])), seed=seed)
+    return build, data, cfg
 
 
 class TestSequential:
@@ -232,14 +274,16 @@ class TestSerialization:
         assert to_json(g2) == to_json(g)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_trained_params_roundtrip_bit_identical(self, dtype):
-        g = sequential_recurrent(
-            [linear_layer(5, in_features=4), lif_layer(5), linear_layer(2), lif_layer(2)],
-            feedback=[(3, 1)], input_shape=(4,), seed=3, dtype=dtype,
-        )
+    @settings(max_examples=15, deadline=None)
+    @given(case=trained_graph_cases())
+    def test_trained_params_roundtrip_bit_identical(self, dtype, case):
+        """A randomly built and trained graph survives graph JSON schema 2
+        bit for bit: its dtype, every trained parameter's bytes and hence
+        what it computes."""
+        build, data, cfg = case
+        g = build(dtype)
         seeded = {name: w.copy() for name, w in g.params.items()}
-        data = gen_toy(2, 4, 8, 6, seed=1)
-        g, _ = train(g, data, TrainConfig(epochs=2, batch_size=4, learning_rate=0.05))
+        g, _ = train(g, data, cfg)
         assert any(not np.array_equal(g.params[n], seeded[n]) for n in seeded)
         g2 = from_json(json.loads(json.dumps(to_json(g))))
         assert g2.dtype == g.dtype == dtype
@@ -247,6 +291,12 @@ class TestSerialization:
         for name, w in g.params.items():
             assert g2.params[name].dtype == w.dtype == dtype
             assert g2.params[name].tobytes() == w.tobytes()
+        x = data[0][0]
+        plan = ExecutionPlan("step_by_step")
+        _, a = executor.run(g, plan, x, executor.init_states(g))
+        _, b = executor.run(g2, plan, x, executor.init_states(g2))
+        out = g.output_nodes[0]
+        assert a.outputs[out].data.tobytes() == b.outputs[out].data.tobytes()
 
     def test_version_1_document_gets_seeded_weights(self):
         g = self.recurrent_graph()

@@ -114,6 +114,21 @@ class TestOptimizers:
         with pytest.raises(ValidationError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", 1.5),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("inf")), ("eps", float("nan")),
+    ])
+    def test_adam_constants_validated(self, field, value):
+        # beta1 = 1 made Adam divide by 1 - beta1**t = 0, and train returned
+        # NaN weights without an error; so did a NaN learning rate
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
+    def test_adam_constants_at_their_limits_accepted(self):
+        TrainConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
+
 
 def smooth_mlp(seed=0):
     return sequential(

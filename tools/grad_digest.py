@@ -12,11 +12,12 @@ an empty diff means both compute the same bytes:
     diff before.txt after.txt
 
 The graphs have the benchmark's shapes (an MLP, a CNN and a recurrent net
-with a delay-1 feedback weight), built here, in float32 and float64. Each
-graph gets records for step_by_step on a full tape, layer_by_layer where
-the graph allows it, run_with_checkpointing at k = 7, 10 and T, a taped run
-whose input, initial states and final state are taped as well, and the
-parameters after a two-batch Adam train.
+with a delay-1 feedback weight), plus a CNN whose convs have stride 2 and
+padding 1, built here, in float32 and float64. Each graph gets records for
+step_by_step on a full tape, layer_by_layer where the graph allows it,
+run_with_checkpointing at k = 7, 10 and T, a taped run whose input, initial
+states and final state are taped as well, and the parameters after a
+two-batch Adam train.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def cnn(dtype):
     return sequential(
         [conv_layer(2, 16, 3, padding=1), lif_layer(), conv_layer(16, 16, 3, padding=1),
          lif_layer(), flatten_layer(), linear_layer(CLASSES), lif_layer(CLASSES)],
+        input_shape=(2, 16, 16), seed=3, dtype=dtype,
+    ), 25
+
+
+def cnn_stride2(dtype):
+    # both convs stride 2, padding 1: the second one's input gradient goes
+    # through every phase plane
+    return sequential(
+        [conv_layer(2, 8, 3, stride=2, padding=1), lif_layer(),
+         conv_layer(8, 8, 3, stride=2, padding=1), lif_layer(), flatten_layer(),
+         linear_layer(CLASSES), lif_layer(CLASSES)],
         input_shape=(2, 16, 16), seed=3, dtype=dtype,
     ), 25
 
@@ -121,7 +133,7 @@ def taped_run(graph, plan, x, target, mode):
 
 
 def records():
-    for build in (mlp, cnn, rsnn):
+    for build in (mlp, cnn, cnn_stride2, rsnn):
         for dtype in (np.float32, np.float64):
             graph, steps = build(dtype)
             tag = f"{build.__name__}.{np.dtype(dtype).name}"

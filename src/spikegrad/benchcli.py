@@ -15,7 +15,7 @@ import numpy as np
 from . import executor, topology, training
 from .executor import ExecutionPlan, PlanError
 from .neurons import LIFParams
-from .tensor import ContractError, ShapeError, Tensor, ValidationError
+from .tensor import ContractError, ShapeError, Tensor, ValidationError, _int_at_least
 from .topology import GraphError, conv_layer, flatten_layer, lif_layer, linear_layer, sequential
 
 
@@ -43,10 +43,10 @@ class BenchSpec:
     def __post_init__(self):
         if self.arch not in ("mlp", "cnn"):
             raise ValidationError(f"arch must be 'mlp' or 'cnn', got {self.arch!r}")
-        if self.repeats < 3:
-            raise ValidationError(f"repeats must be >= 3, got {self.repeats}")
-        if self.steps < 1:
-            raise ValidationError(f"T must be >= 1, got {self.steps}")
+        for name in ("width", "channels", "depth", "kernel", "stride", "n_in", "in_channels",
+                     "image_size", "steps", "batch_size"):
+            setattr(self, name, _int_at_least(name, getattr(self, name), 1))
+        self.repeats = _int_at_least("repeats", self.repeats, 3)
         for s in self.schedulers:
             if s not in executor.SCHEDULERS:
                 raise ValidationError(f"unknown scheduler {s!r}")

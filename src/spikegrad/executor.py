@@ -17,26 +17,30 @@ loop order:
   source's previous-step output (zeros at step 0), so arbitrary feedback is
   supported.
 
+One forward and one reverse walk serve every run. _forward_segments runs
+the program slab by slab: a slab is all T rows in layer_by_layer and one row
+in step_by_step. When the run is differentiated, it splits the run into
+segments of checkpoint_every steps (one segment without it), keeps each
+segment's start (LIF states and delay-1 values) and saves, for the newest
+segment only, what the reverse walk reads: each LIF's U_pre, each matmul's
+input and each conv's zero-padded input, split into its flat phase planes
+(ops.conv2d_forward). _reverse walks the slabs back, the program in reverse
+within a slab, and replays each earlier segment from its start when it
+reaches it. It sums every gradient in the order a tape with one node per op
+sums it: a value's loss seed first, then its consumers at t+1 through
+delay-1 edges, then its consumers at t in reverse program order, then the
++0 a LIF's final-state gradient hands over; parameter gradients are summed
+in reverse time. So the gradients do not depend on checkpoint_every.
+
 A run whose parameters, input or initial states are on a tape records one
-graph_run node, plus one output node per [T, ...] record and per final U, I
-and S. The forward saves what the reverse walk reads: each LIF's U_pre,
-each matmul's input and each conv's zero-padded input, split into its flat
-phase planes (ops.conv2d_forward). The node's backward walks the slabs in
-reverse and, within a slab, the program in reverse. It sums every gradient
-in the order a tape with one node per op sums it: a value's loss seed first,
-then its consumers at t+1 through delay-1 edges, then its consumers at t in
-reverse program order, then the +0 a LIF's final-state gradient hands over;
-parameter gradients are summed in reverse time.
-
-run and run_with_checkpointing share one input boundary: the input must be a
-finite [T, *input_shape(graph)] array, and an untaped one is cast to
-graph.dtype, so a graph computes in its own precision end to end.
-
-run_with_checkpointing builds no tape. Its forward keeps only the states at
-every checkpoint_every steps; its backward replays each earlier segment from
-those arrays into a buffer of saved arrays and walks it back, continuing the
-parameter-gradient sums, so results are bit-identical to full BPTT. The
-newest segment is kept from the forward pass and not replayed.
+graph_run node, whose backward is _reverse, plus one output node per
+[T, ...] record and per final U, I and S. run_with_checkpointing and
+training differentiate a loss head's loss with no tape (_loss_and_grad).
+All of them share one boundary (_open_run): the input must be a finite
+[T, *input_shape(graph)] array, and an untaped one is cast to graph.dtype,
+so a graph computes in its own precision end to end. Initial states must
+cover every LIF node with its shape and graph.dtype, and the plan must suit
+the graph and T.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import numpy as np
 from . import ops
 from .neurons import NeuronState, init_state
 from .neurons import lif_step  # noqa: F401  unused here; perfbench/tracing.py wraps it by name
-from .tensor import ShapeError, Tensor, ValidationError
+from .tensor import ShapeError, Tensor, ValidationError, _int_at_least
 from .topology import topo_order
 
 SCHEDULERS = ("step_by_step", "layer_by_layer")
@@ -70,9 +74,8 @@ class ExecutionPlan:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
             )
-        k = self.checkpoint_every
-        if k is not None and not (isinstance(k, int) and not isinstance(k, bool) and k >= 1):
-            raise ValidationError(f"checkpoint_every must be a positive int, got {k!r}")
+        if self.checkpoint_every is not None:
+            self.checkpoint_every = _int_at_least("checkpoint_every", self.checkpoint_every, 1)
 
 
 @dataclass
@@ -337,52 +340,98 @@ def _backward(ctx, params, gr, saved, sg, acc, rg):
                 _add_grad(acc, name, dk)
 
 
-def _walk(ctx, params, saved_steps, t0, seeds, gr, sg, acc, rg, x_grads=None):
-    """Walk slabs t0 + len(saved_steps) - 1 down to t0 in reverse. seeds(t)
-    gives slab t's seeded gradient list; gr is the last slab's, with any
-    gradient from later slabs added. Returns slab t0's list: its prev slots
-    hold what the delay-1 edges send to the slab before t0. With x_grads,
-    stores each slab's input gradient there."""
-    for t in range(t0 + len(saved_steps) - 1, t0 - 1, -1):
+def _slabs(ctx, params, xs, t0, t1, rows, states, prev, saved_slabs=None, traced=()):
+    """The forward over rows [t0, t1) of xs, one slab of `rows` rows at a
+    time, from states and prev (the prev slots' values at t0). Appends each
+    slab's value of each traced (slot, slabs) pair and, with saved_slabs,
+    each slab's saved arrays; returns the prev slots' values for row t1."""
+    for t in range(t0, t1, rows):
+        vals = [None] * ctx.n_slots
+        vals[0] = xs[t : t + rows]
+        for p, v in zip(ctx.prev_slots, prev):
+            vals[p] = v
+        saved = None if saved_slabs is None else []
+        _forward(ctx, params, vals, states, saved)
+        if saved is not None:
+            saved_slabs.append(saved)
+        prev = [vals[c] for c in ctx.prev_src]
+        for slot, out in traced:
+            out.append(vals[slot])
+    return prev
+
+
+class _Forward(NamedTuple):
+    """A run's forward pass: the [T, ...] records by node id, each LIF's
+    final (U, I, S), and what _reverse reads: the input xs, the rows per
+    slab, the start (row, states, prev) of each segment but the newest,
+    and the newest segment's saved arrays by slab (None when not kept)."""
+
+    records: dict
+    states: list
+    xs: np.ndarray
+    rows: int
+    starts: list
+    saved: list | None
+
+
+def _forward_segments(ctx, params, x, rows, k, init, traced, keep):
+    """The forward pass of a run over every row of x from the initial
+    NeuronStates init, one slab of `rows` rows at a time, recording the
+    node ids in traced. With keep, it splits the run into segments of k
+    steps (one segment when k is None), keeps each segment's start and
+    saves the newest segment's arrays; the vals of a slab are dropped once
+    it is done."""
+    xs = np.ascontiguousarray(x.data)
+    states = [(st.U.data, st.I.data, st.S.data) for st in init]
+    slabs = {nid: [] for nid in traced}
+    out = [(ctx.cur[nid], slabs[nid]) for nid in traced]
+    t_total = xs.shape[0]
+    t_newest = (t_total - 1) // k * k if keep and k else 0
+    prev = [np.zeros((1,) + tail, dtype=ctx.graph.dtype) for tail in ctx.prev_tails]
+    starts = []
+    for t0 in range(0, t_newest, k or 1):
+        starts.append((t0, list(states), prev))
+        prev = _slabs(ctx, params, xs, t0, t0 + k, rows, states, prev, None, out)
+    saved = [] if keep else None
+    _slabs(ctx, params, xs, t_newest, t_total, rows, states, prev, saved, out)
+    records = {nid: s[0] if len(s) == 1 else np.concatenate(s) for nid, s in slabs.items()}
+    return _Forward(records, states, xs, rows, starts, saved)
+
+
+def _reverse(ctx, params, fwd, seeds, sg, acc, rg):
+    """BPTT over every slab of the forward pass fwd, the last first. When
+    the walk reaches a segment before the newest, it replays the segment
+    from its start into a buffer of saved arrays, which replaces the later
+    segment's. seeds(t) gives slab t's seeded gradient list; sg and acc are
+    _backward's and end as the gradients of each LIF's initial (U, I) and
+    of the parameters. Returns each slab's input gradient (None where none
+    arrived)."""
+    xs, rows, starts, saved = fwd.xs, fwd.rows, fwd.starts, fwd.saved
+    n = xs.shape[0] // rows
+    x_grads = [None] * n
+    first = n - len(saved)  # the first slab of the segment in saved
+    earlier = reversed(starts)
+    gr = seeds(n - 1)
+    for t in range(n - 1, -1, -1):
+        if t < first:
+            t0, start_states, prev = next(earlier)
+            saved = []
+            _slabs(ctx, params, xs, t0, first * rows, rows, list(start_states), prev, saved)
+            first = t0 // rows
         nxt = None
-        if t > t0:
+        if t > 0:
             # the delay-1 consumers at t add to the source's value at t-1
             # after its seed and before its consumers at t-1
             nxt = seeds(t - 1)
             for p, c in zip(ctx.prev_slots, ctx.prev_src):
                 gr[p] = nxt[c]
-        _backward(ctx, params, gr, saved_steps[t - t0], sg, acc, rg)
-        if x_grads is not None:
-            x_grads[t] = gr[0]
+        _backward(ctx, params, gr, saved[t - first], sg, acc, rg)
+        x_grads[t] = gr[0]
         if nxt is not None:
             for p, c in zip(ctx.prev_slots, ctx.prev_src):
                 nxt[c] = gr[p]
             gr = nxt
-    return gr
-
-
-def _steps(ctx, params, xs, t0, t1, states, prev, saved_steps=None, traced=()):
-    """step_by_step forward over steps [t0, t1) from states and prev (the
-    prev slots' values at t0). Appends each traced (slot, rows) pair's row
-    and, with saved_steps, each step's saved arrays; returns the prev slots'
-    values for step t1."""
-    for t in range(t0, t1):
-        vals = [None] * ctx.n_slots
-        vals[0] = xs[t : t + 1].copy()
-        for p, v in zip(ctx.prev_slots, prev):
-            vals[p] = v
-        saved = None if saved_steps is None else []
-        _forward(ctx, params, vals, states, saved)
-        if saved is not None:
-            saved_steps.append(saved)
-        prev = [vals[c] for c in ctx.prev_src]
-        for slot, rows in traced:
-            rows.append(vals[slot][0])
-    return prev
-
-
-def _zero_prev(ctx):
-    return [np.zeros((1,) + tail, dtype=ctx.graph.dtype) for tail in ctx.prev_tails]
+    return x_grads
 
 
 def input_shape(graph):
@@ -393,11 +442,11 @@ def input_shape(graph):
     return graph.node(graph.input_nodes[0]).in_shape
 
 
-def _check_run_args(graph, input_spikes, init_states_map):
-    """The run boundary. Returns input_spikes as a finite [T, *input_shape]
-    Tensor in graph.dtype: an untaped input is cast, a taped one must already
-    have graph.dtype, since a cast would cut it off its tape. Initial states
-    must cover every LIF node with its shape and graph.dtype."""
+def _open_run(graph, plan, input_spikes, init_states_map, params):
+    """The run boundary (see the module docstring); a taped input must
+    already have graph.dtype, since a cast would cut it off its tape.
+    Returns the input as a Tensor, the rows per slab, the node program, its
+    parameters from params as Tensors and each LIF's initial NeuronState."""
     x = input_spikes if isinstance(input_spikes, Tensor) else Tensor(input_spikes)
     if x.ndim < 1 or x.shape[0] < 1:
         raise ValidationError("input needs a leading time axis of length >= 1")
@@ -427,7 +476,21 @@ def _check_run_args(graph, input_spikes, init_states_map):
                 f"initial state of node {nid} is not {graph.dtype}: "
                 f"U {st.U.dtype}, I {st.I.dtype}, S {st.S.dtype}"
             )
-    return x
+    k = plan.checkpoint_every
+    if plan.scheduler == "layer_by_layer":
+        if graph.has_delay_edges():
+            raise PlanError(
+                "layer_by_layer cannot execute graphs with delay-1 feedback edges; "
+                "use step_by_step"
+            )
+        if k is not None:
+            raise PlanError("checkpointing is implemented for the step_by_step scheduler")
+    elif k is not None and k > x.shape[0]:
+        raise ValidationError(f"checkpoint_every={k} exceeds T={x.shape[0]}")
+    rows = x.shape[0] if plan.scheduler == "layer_by_layer" else 1
+    ctx = _ExecContext(graph)
+    tensors = ctx.param_arrays(params)
+    return x, rows, ctx, tensors, [init_states_map[nid] for nid, _, _ in ctx.lifs]
 
 
 def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=False):
@@ -435,42 +498,24 @@ def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=F
 
     params maps parameter names to Tensors (graph.params when None). When a
     parameter, the input or an initial U or I is on a tape, the run records
-    one graph_run node and returns taped records and final states.
+    one graph_run node and returns taped records and final states. With
+    plan.checkpoint_every, a taped run keeps only each segment's start and
+    the newest segment's saved arrays, and graph_run's backward replays the
+    earlier segments; the gradients are the same as without it.
     """
-    x = _check_run_args(graph, input_spikes, init_states_map)
-    if plan.scheduler == "layer_by_layer" and graph.has_delay_edges():
-        raise PlanError(
-            "layer_by_layer cannot execute graphs with delay-1 feedback edges; "
-            "use step_by_step"
-        )
-    ctx = _ExecContext(graph)
-    tensors = ctx.param_arrays(graph.params if params is None else params)
+    x, rows, ctx, tensors, init = _open_run(graph, plan, input_spikes, init_states_map,
+                                            graph.params if params is None else params)
     pdata = {name: t.data for name, t in tensors.items()}
-    init = [init_states_map[nid] for nid, _, _ in ctx.lifs]
     tape = ops._tape_of(x, *tensors.values(), *[v for st in init for v in (st.U, st.I)])
-    states = [(st.U.data, st.I.data, st.S.data) for st in init]
     traced = ctx.order if record_hidden else graph.output_nodes
-    saved_steps = None if tape is None else []
-    if plan.scheduler == "layer_by_layer":
-        vals = [None] * ctx.n_slots
-        vals[0] = x.data
-        saved = None if tape is None else []
-        _forward(ctx, pdata, vals, states, saved)
-        if saved is not None:
-            saved_steps.append(saved)
-        seqs = {nid: vals[ctx.cur[nid]] for nid in traced}
-    else:
-        rows = {nid: [] for nid in traced}
-        _steps(ctx, pdata, x.data, 0, x.shape[0], states, _zero_prev(ctx), saved_steps,
-               [(ctx.cur[nid], rows[nid]) for nid in traced])
-        seqs = {nid: np.stack(r) for nid, r in rows.items()}
+    fwd = _forward_segments(ctx, pdata, x, rows, plan.checkpoint_every, init, traced,
+                            tape is not None)
     if tape is None:
-        seq_t = {nid: Tensor(v) for nid, v in seqs.items()}
+        seq_t = {nid: Tensor(v) for nid, v in fwd.records.items()}
         final = {nid: NeuronState(U=Tensor(u), I=Tensor(i), S=Tensor(s))
-                 for (nid, _, _), (u, i, s) in zip(ctx.lifs, states)}
+                 for (nid, _, _), (u, i, s) in zip(ctx.lifs, fwd.states)}
     else:
-        seq_t, final = _record_run(tape, ctx, pdata, tensors, x, init, states, seqs,
-                                   saved_steps)
+        seq_t, final = _record_run(tape, ctx, pdata, tensors, x, init, fwd)
     out_states = dict(init_states_map)
     out_states.update(final)
     record = SpikeRecord(
@@ -481,28 +526,20 @@ def run(graph, plan, input_spikes, init_states_map, params=None, record_hidden=F
     return out_states, record
 
 
-def _record_run(tape, ctx, pdata, tensors, x, init, states, seqs, saved_steps):
+def _record_run(tape, ctx, pdata, tensors, x, init, fwd):
     """Record the graph_run node of a taped run and one output node per
     record and per final U, I and S of a LIF layer that a gradient can
     reach; returns (records, final states) as Tensors."""
     taped_params = {name for name, t in tensors.items() if t.tape is tape}
     taped_lifs = {k for k, st in enumerate(init) if st.U.tape is tape or st.I.tape is tape}
     rg = ctx.requires_grad(x.tape is tape, taped_params, taped_lifs)
-    keys, ids = [], []
-    for name in sorted(taped_params):
-        keys.append(("param", name))
-        ids.append(tensors[name].node_id)
-    if x.tape is tape:
-        keys.append(("x", None))
-        ids.append(x.node_id)
-    for k, st in enumerate(init):
-        for part, t in (("U", st.U), ("I", st.I)):
-            if t.tape is tape:
-                keys.append((part, k))
-                ids.append(t.node_id)
+    leaves = [(("param", name), tensors[name]) for name in sorted(taped_params)]
+    leaves += [(("x", None), x)] + [((part, k), t) for k, st in enumerate(init)
+                                    for part, t in (("U", st.U), ("I", st.I))]
+    leaves = [(key, t) for key, t in leaves if t.tape is tape]
     arrived = {}  # output key -> its gradient, until graph_run's backward reads it
-    bwd = _run_backward(ctx, pdata, saved_steps, rg, keys, arrived, x.shape, list(seqs))
-    run_id = tape.record("graph_run", ids, bwd, (), ctx.graph.dtype)
+    bwd = _run_backward(ctx, pdata, fwd, rg, [key for key, _ in leaves], arrived)
+    run_id = tape.record("graph_run", [t.node_id for _, t in leaves], bwd, (), ctx.graph.dtype)
 
     def output(key, data):
         t = Tensor(data)
@@ -512,9 +549,9 @@ def _record_run(tape, ctx, pdata, tensors, x, init, states, seqs, saved_steps):
         return t
 
     seq_t = {nid: output(("rec", nid), v) if rg[ctx.cur[nid]] else Tensor(v)
-             for nid, v in seqs.items()}
+             for nid, v in fwd.records.items()}
     final = {}
-    for k, ((nid, _, slot), (u, i, s)) in enumerate(zip(ctx.lifs, states)):
+    for k, ((nid, _, slot), (u, i, s)) in enumerate(zip(ctx.lifs, fwd.states)):
         if rg[slot]:
             final[nid] = NeuronState(U=output(("U", k), u), I=output(("I", k), i),
                                      S=output(("S", k), s))
@@ -534,14 +571,14 @@ def _hand_over(arrived, key):
     return bwd
 
 
-def _run_backward(ctx, pdata, saved_steps, rg, keys, arrived, x_shape, traced):
+def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
     """graph_run's backward. It holds arrays, the program and plain values,
     never a Tensor, so a dropped tape is freed by reference counting."""
+    traced, rows = list(fwd.records), fwd.rows
 
     def bwd(_):
         got = dict(arrived)
         arrived.clear()
-        rows = x_shape[0] // len(saved_steps)
         recs = [(ctx.cur[nid], got[("rec", nid)]) for nid in reversed(traced)
                 if ("rec", nid) in got]  # a tape sums the records' seeds in reverse
 
@@ -554,15 +591,13 @@ def _run_backward(ctx, pdata, saved_steps, rg, keys, arrived, x_shape, traced):
         acc = {name: None for kind, name in keys if kind == "param"}
         sg = [(got.get(("U", k)), got.get(("I", k)), got.get(("S", k)))
               for k in range(len(ctx.lifs))]
-        x_grads = [None] * len(saved_steps)
-        _walk(ctx, pdata, saved_steps, 0, seeds, seeds(len(saved_steps) - 1), sg, acc, rg,
-              x_grads)
+        x_grads = _reverse(ctx, pdata, fwd, seeds, sg, acc, rg)
         out = []
         for kind, key in keys:
             if kind == "param":
                 out.append(acc[key])
             elif kind == "x":
-                out.append(_input_grad(x_grads, x_shape))
+                out.append(_input_grad(x_grads, fwd.xs.shape))
             else:
                 out.append(sg[key][0 if kind == "U" else 1])
         return out
@@ -591,99 +626,59 @@ def _input_grad(x_grads, x_shape):
 def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head):
     """Segmented-recompute BPTT with no tape.
 
-    Forward keeps only the states at every checkpoint_every steps; backward
-    replays each segment from them, saving what the reverse walk reads,
-    seeds the walk with the gradients that arrived from later segments and
-    continues the parameter-gradient sums, so the result is bit-identical to
-    a full-tape run. The newest segment is saved during the forward pass
-    already and not replayed.
+    The forward keeps only each segment's start (states and delay-1 values)
+    every checkpoint_every steps and the newest segment's saved arrays; the
+    reverse walk replays each earlier segment from its start when it
+    reaches it, so the result is bit-identical to a full-tape run.
 
     Returns (loss, gradients by parameter name, stats dict). The stats hold
     the segment count, the boundary arrays kept, peak_saved_bytes (the
     largest segment's saved arrays), the summed output logits, and
     peak_tape_nodes, which is 0.
     """
-    x = _check_run_args(graph, input_spikes, init_states_map)
-    t_total = x.shape[0]
-    k = plan.checkpoint_every
-    if k is None:
+    if plan.checkpoint_every is None:
         raise ValidationError("run_with_checkpointing requires plan.checkpoint_every")
-    if k > t_total:
-        raise ValidationError(f"checkpoint_every={k} exceeds T={t_total}")
-    if plan.scheduler != "step_by_step":
-        raise PlanError("checkpointing is implemented for the step_by_step scheduler")
     if len(graph.output_nodes) != 1:
         raise ValidationError("checkpointed loss heads support exactly one output node")
-    ctx = _ExecContext(graph)
-    params = {name: t.data for name, t in ctx.param_arrays(graph.params).items()}
-    xs = x.data
-    out_slot = ctx.cur[graph.output_nodes[0]]
-    out_rows = []
-    traced = [(out_slot, out_rows)]
+    return _loss_and_grad(graph, plan, input_spikes, init_states_map, loss_head)
 
-    # forward up to the newest segment keeps only boundary arrays and output
-    # rows; the newest segment saves what its reverse walk reads
-    t_newest = (t_total - 1) // k * k
-    states = [(st.U.data, st.I.data, st.S.data)
-              for st in (init_states_map[nid] for nid, _, _ in ctx.lifs)]
-    prev = _zero_prev(ctx)
-    boundaries = []  # (t_start, states, prev)
-    for t0 in range(0, t_newest, k):
-        boundaries.append((t0, list(states), prev))
-        prev = _steps(ctx, params, xs, t0, t0 + k, states, prev, traced=traced)
-    saved_steps = []
-    _steps(ctx, params, xs, t_newest, t_total, states, prev, saved_steps, traced)
 
-    logits = np.sum(np.stack(out_rows), axis=0)
+def _loss_and_grad(graph, plan, input_spikes, init_states_map, loss_head):
+    """loss_head's loss on the summed record of the first output node and
+    its gradients by parameter name, with no tape: _forward_segments, then
+    _reverse from the loss head's logit gradient. Returns what
+    run_with_checkpointing returns; without checkpoint_every the run is one
+    segment."""
+    x, rows, ctx, tensors, init = _open_run(graph, plan, input_spikes, init_states_map,
+                                            graph.params)
+    params = {name: t.data for name, t in tensors.items()}
+    out = graph.output_nodes[0]
+    k = plan.checkpoint_every
+    fwd = _forward_segments(ctx, params, x, rows, k, init, [out], True)
+    logits = np.sum(fwd.records[out], axis=0)
     loss, dlogits = loss_head.loss_and_logit_grad(logits)
-    dlogits = dlogits[None]  # each step's output is a [1, C] row
+    seed = np.broadcast_to(dlogits, (rows,) + dlogits.shape).copy()
 
     def seeds(t):
         gr = [None] * ctx.n_slots
-        gr[out_slot] = dlogits
+        gr[ctx.cur[out]] = seed
         return gr
 
-    rg = ctx.requires_grad(False, set(params), set(range(len(ctx.lifs))))
     acc = {name: None for name in sorted(params)}
-    sg = [(None, None, None)] * len(ctx.lifs)
-    gr = seeds(t_total - 1)
-    t0 = t_newest
-    # every step saves arrays of the same shapes; the longest segment peaks
-    step_bytes = sum({id(a): a.nbytes for a in saved_steps[0]}.values())
-    peak_bytes = step_bytes * (k if boundaries else t_total)
-    while True:
-        bottom = _walk(ctx, params, saved_steps, t0, seeds, gr, sg, acc, rg)
-        saved_steps = None  # free this segment's arrays before the next replay
-        # at a boundary, a sum that no gradient reached passes on zeros, as a
-        # leaf of a per-segment tape would, and the earlier segment adds to them
-        for name, g in acc.items():
-            if g is None:
-                acc[name] = np.zeros_like(params[name])
-        if not boundaries:
-            break
-        t0, start_states, start_prev = boundaries.pop()
-        sg = [(_or_zeros(gu, u), _or_zeros(gi, i), np.zeros_like(s))
-              for (gu, gi, _), (u, i, s) in zip(sg, start_states)]
-        gr = seeds(t0 + k - 1)
-        for p, c, v in zip(ctx.prev_slots, ctx.prev_src, start_prev):
-            _add_grad(gr, c, _or_zeros(bottom[p], v))
-        saved_steps = []
-        _steps(ctx, params, xs, t0, t0 + k, list(start_states), start_prev, saved_steps)
-
-    n_state_tensors = 3 * len(ctx.lifs) + len(ctx.delay1_sources)
-    segments = t_newest // k + 1
+    _reverse(ctx, params, fwd, seeds, [(None, None, None)] * len(ctx.lifs), acc,
+             ctx.requires_grad(False, set(params), set()))
+    grads = {name: np.zeros_like(params[name]) if g is None else g for name, g in acc.items()}
+    # every slab saves arrays of the same shapes; the longest segment peaks
+    slab_bytes = sum({id(a): a.nbytes for a in fwd.saved[0]}.values())
+    segments = len(fwd.starts) + 1
     stats = {
         "segments": segments,
         "peak_tape_nodes": 0,
-        "peak_saved_bytes": peak_bytes,
-        "boundary_tensor_count": segments * n_state_tensors,
+        "peak_saved_bytes": slab_bytes * (k if fwd.starts else len(fwd.saved)),
+        "boundary_tensor_count": segments * (3 * len(ctx.lifs) + len(ctx.delay1_sources)),
         "logits": logits,
     }
-    return loss, acc, stats
-
-
-def _or_zeros(g, like):
-    return np.zeros_like(like) if g is None else g
+    return loss, grads, stats
 
 
 def write_trace(record, path):

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, ValidationError
+from .tensor import ShapeError, Tensor, ValidationError, _int_at_least
 
 
 def _as_tensor(x):
@@ -451,11 +451,8 @@ def conv2d_batched(x, kernel, stride=1, padding=0):
 
 
 def validate_conv_args(stride, padding):
-    """A bool is an int to Python, but no stride or padding."""
-    if not (isinstance(stride, int) and not isinstance(stride, bool) and stride >= 1):
-        raise ValidationError(f"stride must be a positive int, got {stride!r}")
-    if not (isinstance(padding, int) and not isinstance(padding, bool) and padding >= 0):
-        raise ValidationError(f"padding must be a nonnegative int, got {padding!r}")
+    """Returns stride and padding as ints, once they are checked."""
+    return _int_at_least("stride", stride, 1), _int_at_least("padding", padding, 0)
 
 
 def threshold(u, thr, surrogate):

@@ -7,6 +7,7 @@ carry a node_id so reverse-mode gradients can be accumulated for them.
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -24,6 +25,14 @@ class ValidationError(ValueError):
 
 class ContractError(ValueError):
     """An API contract was violated (wrong node kind, mismatched keys, ...)."""
+
+
+def _int_at_least(name, value, least):
+    """value as an int if it is an integral number (numpy ints too) of at
+    least `least`; a bool is an int to Python, but no count or size."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an int >= {least}, got {value!r}")
+    return int(value)
 
 
 def _dtype_from_name(name):

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ops
 from .neurons import LIFParams
 from .surrogates import SurrogateFn
-from .tensor import ValidationError, default_dtype
+from .tensor import ValidationError, _int_at_least, default_dtype
 
 logger = logging.getLogger(__name__)
 
@@ -70,36 +71,35 @@ class LayerNode:
 
 
 def lif_layer(shape=None, params=None, name="", smooth_sharpness=None):
-    if shape is not None and np.isscalar(shape):
-        shape = (int(shape),)
+    if shape is not None:
+        shape = tuple(_int_at_least("lif shape", n, 1)
+                      for n in ((shape,) if np.isscalar(shape) else shape))
     return LayerNode(
         kind="lif",
         name=name,
-        shape=tuple(shape) if shape is not None else None,
+        shape=shape,
         lif=params or LIFParams(),
         smooth_sharpness=smooth_sharpness,
     )
 
 
 def linear_layer(out_features, in_features=None, name=""):
-    if out_features < 1:
-        raise ValidationError(f"out_features must be positive, got {out_features}")
-    return LayerNode(
-        kind="linear", name=name, in_features=in_features, out_features=int(out_features)
-    )
+    if in_features is not None:
+        in_features = _int_at_least("in_features", in_features, 1)
+    return LayerNode(kind="linear", name=name, in_features=in_features,
+                     out_features=_int_at_least("out_features", out_features, 1))
 
 
 def conv_layer(in_channels, out_channels, kernel, stride=1, padding=0, name=""):
-    if min(in_channels, out_channels, kernel) < 1:
-        raise ValidationError("conv channel counts and kernel size must be positive")
+    stride, padding = ops.validate_conv_args(stride, padding)
     return LayerNode(
         kind="conv",
         name=name,
-        in_channels=int(in_channels),
-        out_channels=int(out_channels),
-        kernel=int(kernel),
-        stride=int(stride),
-        padding=int(padding),
+        in_channels=_int_at_least("in_channels", in_channels, 1),
+        out_channels=_int_at_least("out_channels", out_channels, 1),
+        kernel=_int_at_least("kernel", kernel, 1),
+        stride=stride,
+        padding=padding,
     )
 
 
@@ -338,6 +338,9 @@ def graph_build(nodes, edges, input_nodes=None, output_nodes=None, input_shape=N
         input_nodes = [0]
     if output_nodes is None:
         output_nodes = [len(nodes) - 1]
+    for role, ends in (("input", input_nodes), ("output", output_nodes)):
+        if not ends or any(nid not in range(len(nodes)) for nid in ends):
+            raise GraphError(f"{role}_nodes must name nodes 0..{len(nodes) - 1}, got {ends}")
     if np.isscalar(input_shape):
         input_shape = (int(input_shape),)
     graph = NetworkGraph(

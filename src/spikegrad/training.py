@@ -10,7 +10,7 @@ import numpy as np
 
 from . import executor, ops
 from .executor import ExecutionPlan
-from .tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
+from .tensor import ContractError, ShapeError, Tensor, ValidationError, _int_at_least
 
 
 class TrainingDiverged(RuntimeError):
@@ -43,10 +43,8 @@ class TrainConfig:
                 raise ValidationError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValidationError(f"eps must be finite and positive, got {self.eps}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        self.batch_size = _int_at_least("batch_size", self.batch_size, 1)
+        self.epochs = _int_at_least("epochs", self.epochs, 1)
 
 
 @dataclass
@@ -97,57 +95,49 @@ def spike_count_ce_loss(record, target):
     return SpikeCountCELoss(target).loss_tensor(record)
 
 
-def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed, params=None):
-    """One sample's (loss, gradients by parameter name, summed logits).
-
-    With params (arrays by name), the forward runs untaped on them and the
-    gradients are None. A plan with checkpoint_every runs
-    run_with_checkpointing; otherwise the run goes on one tape.
-    """
+def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed):
+    """One sample's (loss, gradients by parameter name, summed logits). The
+    executor's tape-free BPTT differentiates every plan: one segment
+    without checkpoint_every, and one T-row slab in layer_by_layer."""
     states = executor.init_states(graph, mode=init_mode, seed=init_seed)
-    head = SpikeCountCELoss(target)
-    out = graph.output_nodes[0]
-    if params is None and plan.checkpoint_every is not None:
-        loss, grads, stats = executor.run_with_checkpointing(graph, plan, inputs, states, head)
-        return loss, grads, stats["logits"]
-    if params is None:
-        tape = Tape()
-        params_t = {name: tape.leaf(graph.params[name]) for name in sorted(graph.params)}
-    else:
-        params_t = {name: Tensor(arr) for name, arr in params.items()}
-    _, record = executor.run(graph, plan, inputs, states, params=params_t)
-    loss = head.loss_tensor(record, out)
-    named = None
-    if params is None:
-        grads = tape.grads_from_seeds({loss.node_id: np.ones(loss.shape, dtype=graph.dtype)})
-        named = {name: grads[t.node_id] for name, t in params_t.items()}
-    return float(loss.data), named, record.outputs[out].data.sum(axis=0)
+    loss, grads, stats = executor._loss_and_grad(graph, plan, inputs, states,
+                                                 SpikeCountCELoss(target))
+    return loss, grads, stats["logits"]
 
 
-def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, params=None):
-    """Batch-mean loss, batch-mean gradients (None with params, which runs
-    the forward only, untaped on those arrays) and each sample's logits,
-    from ordered per-sample sums so the result is deterministic."""
+def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed):
+    """Batch-mean loss, batch-mean gradients and each sample's logits, from
+    ordered per-sample sums so the result is deterministic."""
     total_loss = 0.0
     total = None
     logits = []
     for inputs, target in batch:
         loss, named, sample_logits = _sample_loss_and_grad(
-            graph, plan, inputs, target, init_mode, init_seed, params
+            graph, plan, inputs, target, init_mode, init_seed
         )
         total_loss += loss
         logits.append(sample_logits)
-        if named is not None:
-            total = named if total is None else {k: total[k] + named[k] for k in total}
+        total = named if total is None else {k: total[k] + named[k] for k in total}
     n = len(batch)
-    mean = None if total is None else {k: v / n for k, v in total.items()}
-    return total_loss / n, mean, logits
+    return total_loss / n, {k: v / n for k, v in total.items()}, logits
+
+
+def _batch_loss(graph, plan, batch, init_mode, init_seed):
+    """Batch-mean loss of untaped forward runs, summed in the same order."""
+    total_loss = 0.0
+    for inputs, target in batch:
+        states = executor.init_states(graph, mode=init_mode, seed=init_seed)
+        _, record = executor.run(graph, plan, inputs, states)
+        logits = record.outputs[graph.output_nodes[0]].data.sum(axis=0)
+        total_loss += SpikeCountCELoss(target).loss_and_logit_grad(logits)[0]
+    return total_loss / len(batch)
 
 
 def loss_and_grad(graph, plan, batch, init_mode="zeros", init_seed=0):
     """Batch-mean loss and parameter gradients (deterministic ordered sums).
-    A plan with checkpoint_every differentiates each sample with
-    run_with_checkpointing, which gives the same bytes."""
+    Each sample is differentiated without a tape, in segments of the plan's
+    checkpoint_every steps when it is set; the bytes are those of a
+    full-tape run whatever the segments."""
     if not batch:
         raise ValidationError("batch must be nonempty")
     loss, grads, _ = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed)
@@ -174,6 +164,7 @@ def fd_gradient(graph, plan, batch, eps=1e-6, init_mode="zeros", init_seed=0):
             )
     grads = {}
     work = {name: np.array(arr, copy=True) for name, arr in graph.params.items()}
+    perturbed = graph.copy_with_params(work)  # shares the arrays in work
     for name in sorted(work):
         arr = work[name]
         g = np.zeros_like(arr)
@@ -182,9 +173,9 @@ def fd_gradient(graph, plan, batch, eps=1e-6, init_mode="zeros", init_seed=0):
         for i in range(flat.shape[0]):
             orig = flat[i]
             flat[i] = orig + eps
-            lp = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, work)[0]
+            lp = _batch_loss(perturbed, plan, batch, init_mode, init_seed)
             flat[i] = orig - eps
-            lm = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed, work)[0]
+            lm = _batch_loss(perturbed, plan, batch, init_mode, init_seed)
             flat[i] = orig
             gflat[i] = (lp - lm) / (2.0 * eps)
         grads[name] = g
@@ -262,10 +253,10 @@ def train(graph, dataset, config, stop_at_accuracy=None, log_every=None):
     """Mini-batch training; returns (graph with updated params, metric rows).
 
     Batches are reshuffled per epoch with a seeded generator and neuron
-    states are re-initialized for every sample. With config.plan's
-    checkpoint_every set, each sample is differentiated by
-    run_with_checkpointing. Metric rows are (epoch, mean_loss, accuracy,
-    wall_ms).
+    states are re-initialized for every sample. Each sample is
+    differentiated as loss_and_grad does it, with no tape, and with
+    config.plan's checkpoint_every honoured. Metric rows are (epoch,
+    mean_loss, accuracy, wall_ms).
     """
     if not dataset:
         raise ValidationError("dataset must be nonempty")

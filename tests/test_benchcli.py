@@ -100,6 +100,14 @@ class TestBenchSpec:
         with pytest.raises(ValidationError):
             BenchSpec(steps=0)
 
+    @pytest.mark.parametrize("field", ["width", "channels", "depth", "kernel", "stride",
+                                       "n_in", "in_channels", "image_size", "steps",
+                                       "batch_size"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, True])
+    def test_non_positive_or_non_integral_sizes_rejected(self, field, value):
+        with pytest.raises(ValidationError):
+            BenchSpec(**{field: value})
+
     def test_from_json_roundtrip(self):
         spec = BenchSpec.from_json({"version": 1, "arch": "mlp", "width": 32,
                                     "schedulers": ["layer_by_layer"]})
@@ -161,6 +169,17 @@ class TestCli:
         code = cli(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "repeats" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc,field", [({"batch_size": 0}, "batch_size"),
+                                           ({"arch": "cnn", "stride": 0}, "stride")])
+    def test_bench_zero_size_spec_exits_1(self, tmp_path, capsys, doc, field):
+        # a bad spec is a usage error, reported on the CLI's error path
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        code = cli(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_bench_small_spec_writes_csv(self, tmp_path):
         spec_path = tmp_path / "spec.json"

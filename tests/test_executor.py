@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spikegrad.executor as executor_mod
 from spikegrad.executor import (
     ExecutionPlan,
     PlanError,
@@ -15,6 +16,7 @@ from spikegrad.executor import (
     run_with_checkpointing,
     write_trace,
 )
+from spikegrad.neurons import NeuronState
 from spikegrad.tensor import ShapeError, Tape, Tensor, ValidationError
 from spikegrad.topology import (
     conv_layer,
@@ -390,6 +392,84 @@ class TestCheckpointing:
         assert loss == ref_loss
         for name in ref_grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def recurrent_graph(dtype=np.float32):
+    """linear -> LIF with a projected delay-1 feedback from the readout and
+    a delay-1 self-loop -> linear -> LIF readout."""
+    return graph_build(
+        [linear_layer(6, in_features=4), lif_layer(6), linear_layer(3), lif_layer(3)],
+        [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 1, 1), (1, 1, 1)],
+        input_nodes=[0], output_nodes=[3], input_shape=(4,), seed=7, dtype=dtype,
+    )
+
+
+def taped_run_grads(graph, plan, x):
+    """Gradients of every parameter, the input and each initial U and I of a
+    taped run, seeded on the output record and on every final U and I."""
+    tape = Tape()
+    leaves = {n: tape.leaf(graph.params[n]) for n in sorted(graph.params)}
+    leaves["x"] = tape.leaf(x)
+    states = {}
+    for nid, st in init_states(graph, mode="uniform", seed=2).items():
+        leaves[f"U{nid}"], leaves[f"I{nid}"] = tape.leaf(st.U.data), tape.leaf(st.I.data)
+        states[nid] = NeuronState(U=leaves[f"U{nid}"], I=leaves[f"I{nid}"], S=st.S)
+    final, rec = run(graph, plan, leaves["x"], states, params=leaves)
+    rng = np.random.default_rng(11)
+    outs = [rec.outputs[graph.output_nodes[0]]] + [
+        getattr(final[nid], part) for nid in sorted(final) for part in "UI"]
+    grads = tape.grads_from_seeds(
+        {o.node_id: rng.standard_normal(o.shape).astype(graph.dtype) for o in outs})
+    return {name: grads[t.node_id] for name, t in leaves.items()}, tape
+
+
+class TestRunHonoursCheckpointEvery:
+    T = 12
+
+    def setup_method(self):
+        self.g = recurrent_graph()
+        rng = np.random.default_rng(5)
+        self.x = rng.uniform(0.0, 1.5, (self.T, 4)).astype(np.float32)
+
+    @pytest.mark.parametrize("k,replayed", [(1, 11), (4, 8), (5, 10), (12, 0)])
+    def test_taped_run_gradients_equal_and_segments_replayed(self, k, replayed, monkeypatch):
+        ref, _ = taped_run_grads(self.g, ExecutionPlan("step_by_step"), self.x)
+        calls = []
+        forward = executor_mod._forward
+        monkeypatch.setattr(executor_mod, "_forward",
+                            lambda *args: calls.append(1) or forward(*args))
+        got, tape = taped_run_grads(self.g, ExecutionPlan("step_by_step", checkpoint_every=k),
+                                    self.x)
+        # the forward runs every step once; the backward replays every step
+        # before the newest segment, whose arrays the forward saved
+        assert len(calls) == self.T + replayed
+        assert tape._tags.count("graph_run") == 1
+        assert sorted(got) == sorted(ref)
+        for name in ref:
+            assert got[name].dtype == ref[name].dtype, name
+            assert np.array_equal(got[name], ref[name]), (k, name)
+        assert any(np.any(ref[n] != 0) for n in ("x", "U1", "I1"))
+
+    def test_backward_can_run_twice(self):
+        tape = Tape()
+        params = {n: tape.leaf(self.g.params[n]) for n in sorted(self.g.params)}
+        _, rec = run(self.g, ExecutionPlan("step_by_step", checkpoint_every=5), self.x,
+                     init_states(self.g), params=params)
+        seed = {rec.outputs[3].node_id: np.ones(rec.outputs[3].shape, dtype=np.float32)}
+        first, second = tape.grads_from_seeds(seed), tape.grads_from_seeds(seed)
+        for nid in first:
+            assert np.array_equal(first[nid], second[nid])
+
+    def test_layer_by_layer_with_checkpoint_every_rejected(self):
+        g = mlp(dtype=np.float32)
+        x = np.ones((6, 4), dtype=np.float32)
+        with pytest.raises(PlanError):
+            run(g, ExecutionPlan("layer_by_layer", checkpoint_every=2), x, init_states(g))
+
+    def test_checkpoint_every_exceeding_t_rejected(self):
+        with pytest.raises(ValidationError):
+            run(self.g, ExecutionPlan("step_by_step", checkpoint_every=self.T + 1), self.x,
+                init_states(self.g))
 
 
 class TestTrace:

@@ -239,9 +239,8 @@ class TestDtypeContract:
         g = make(dtype)
         batch = [(spikes(g, 5, s), TARGET) for s in range(2)]
         _, grads = loss_and_grad(g, SBS, batch)
-        assert len(tapes) == 2
-        for tape in tapes:
-            assert_tape_dtype(tape, dtype)
+        # the executor differentiates every plan without a tape
+        assert tapes == []
         assert_arrays_dtype(grads.values(), dtype)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])

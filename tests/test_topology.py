@@ -11,6 +11,7 @@ from spikegrad import executor
 from spikegrad.executor import ExecutionPlan
 from spikegrad.neurons import LIFParams
 from spikegrad.surrogates import get_surrogate
+from spikegrad.tensor import ValidationError
 from spikegrad.topology import (
     CycleError,
     GraphError,
@@ -155,6 +156,48 @@ class TestSequentialRecurrent:
             sequential_recurrent([lif_layer(3)], feedback=[(5, 0)], input_shape=(3,))
 
 
+class TestBuilderArguments:
+    @pytest.mark.parametrize("build", [
+        # int() would make this a stride-2, padding-1 layer
+        lambda: conv_layer(2, 4, 3, stride=2.5, padding=True),
+        # shape inference divides by the stride
+        lambda: conv_layer(2, 4, 3, stride=0),
+        lambda: conv_layer(2, 4, 3, padding=1.5),
+        lambda: conv_layer(2, 4, 3, padding=-1),
+        lambda: conv_layer(2.5, 4, 3),
+        lambda: conv_layer(2, True, 3),
+        lambda: conv_layer(2, 4, 2.0),
+        lambda: conv_layer(2, 4, 0),
+        lambda: linear_layer(2.5),
+        lambda: linear_layer(True),
+        lambda: linear_layer(0),
+        lambda: linear_layer(4, in_features=3.5),
+        lambda: linear_layer(4, in_features=False),
+        lambda: lif_layer(2.5),
+        lambda: lif_layer(True),
+        lambda: lif_layer((2, 2.5)),
+        lambda: lif_layer((3, 0)),
+    ])
+    def test_non_integral_or_bool_sizes_rejected(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_numpy_ints_accepted_as_ints(self):
+        conv = conv_layer(np.int64(2), np.int32(4), np.int64(3), stride=np.int64(2),
+                          padding=np.int8(1))
+        assert (conv.in_channels, conv.out_channels, conv.kernel, conv.stride,
+                conv.padding) == (2, 4, 3, 2, 1)
+        assert all(type(v) is int for v in (conv.in_channels, conv.out_channels,
+                                             conv.kernel, conv.stride, conv.padding))
+        lin = linear_layer(np.int64(5), in_features=np.uint8(3))
+        assert (lin.out_features, lin.in_features) == (5, 3)
+        assert lif_layer(np.int64(4)).shape == (4,)
+        assert lif_layer((np.int64(2), 3)).shape == (2, 3)
+        g = sequential([conv, lif_layer(), flatten_layer(), linear_layer(np.int64(2)),
+                        lif_layer(2)], input_shape=(2, 6, 6))
+        assert g.node(0).out_shape == (4, 3, 3)
+
+
 class TestGraphBuild:
     def diamond(self, seed=0):
         nodes = [
@@ -215,6 +258,13 @@ class TestGraphBuild:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             graph_build([], [])
+
+    @pytest.mark.parametrize("ends", [{"output_nodes": [9]}, {"input_nodes": [9]},
+                                      {"output_nodes": []}, {"input_nodes": []},
+                                      {"output_nodes": [-1]}, {"input_nodes": [0, 2]}])
+    def test_input_and_output_nodes_must_exist(self, ends):
+        with pytest.raises(GraphError):
+            graph_build([lif_layer(2), lif_layer(2)], [(0, 1, 0)], input_shape=(2,), **ends)
 
     def test_declared_lif_shape_wins_and_gets_projection(self):
         # predecessor emits 6 values but the lif declares 4 neurons; a learned

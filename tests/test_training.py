@@ -114,6 +114,17 @@ class TestOptimizers:
         with pytest.raises(ValidationError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", None])
+    def test_epochs_and_batch_size_must_be_ints(self, field, value):
+        # train's range() needs an int, and True is no count
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
+    def test_numpy_int_epochs_and_batch_size_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), batch_size=np.int32(2))
+        assert (cfg.epochs, cfg.batch_size) == (3, 2)
+
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),

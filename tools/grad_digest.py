@@ -18,6 +18,12 @@ step_by_step on a full tape, layer_by_layer where the graph allows it,
 run_with_checkpointing at k = 7, 10 and T, a taped run whose input, initial
 states and final state are taped as well, and the parameters after a
 two-batch Adam train.
+
+The tool also checks itself, and prints what failed to stderr and exits 1
+when a check fails: per scheduler, training.loss_and_grad (which builds no
+tape) must give the bytes of a full-tape reference (Tape, executor.run,
+spike_count_ce_loss, grads_from_seeds), and every checkpoint_k record must
+equal the step_by_step record of its sample.
 """
 
 from __future__ import annotations
@@ -132,7 +138,19 @@ def taped_run(graph, plan, x, target, mode):
     return float(loss.data), named
 
 
-def records():
+def full_tape(graph, plan, x, target, mode):
+    """training.loss_and_grad of one sample, computed on one full tape."""
+    tape = Tape()
+    params = {n: tape.leaf(graph.params[n]) for n in sorted(graph.params)}
+    _, rec = executor.run(graph, plan, x, executor.init_states(graph, mode=mode, seed=5),
+                          params=params)
+    loss = training.spike_count_ce_loss(rec, target)
+    grads = tape.grads_from_seeds({loss.node_id: np.ones((), dtype=graph.dtype)})
+    return float(loss.data), {n: grads[t.node_id] for n, t in params.items()}
+
+
+def records(failures):
+    """Yields (name, digest) per record; appends each failed check to failures."""
     for build in (mlp, cnn, cnn_stride2, rsnn):
         for dtype in (np.float32, np.float64):
             graph, steps = build(dtype)
@@ -142,10 +160,15 @@ def records():
                 schedulers.append("layer_by_layer")
             for i, (x, target) in enumerate(samples(graph, steps, seed=1)):
                 mode = ("zeros", "uniform")[i % 2]
+                by_sched = {}  # this sample's loss_and_grad digest per scheduler
                 for sched in schedulers:
                     loss, grads = training.loss_and_grad(
                         graph, ExecutionPlan(sched), [(x, target)], init_mode=mode, init_seed=5)
-                    yield f"{tag}.{sched}.sample{i}", digest(loss, grads)
+                    name, by_sched[sched] = f"{tag}.{sched}.sample{i}", digest(loss, grads)
+                    yield name, by_sched[sched]
+                    if by_sched[sched] != digest(*full_tape(graph, ExecutionPlan(sched), x,
+                                                            target, mode)):
+                        failures.append(f"{name}: loss_and_grad differs from a full tape")
                     loss, grads = taped_run(graph, ExecutionPlan(sched), x, target, mode)
                     yield f"{tag}.{sched}.taped_input_states.sample{i}", digest(loss, grads)
                 for k in (7, 10, steps):
@@ -153,7 +176,10 @@ def records():
                         graph, ExecutionPlan("step_by_step", checkpoint_every=k), x,
                         executor.init_states(graph, mode=mode, seed=5),
                         training.SpikeCountCELoss(target))
-                    yield f"{tag}.checkpoint_k{k}.sample{i}", digest(loss, grads)
+                    name, h = f"{tag}.checkpoint_k{k}.sample{i}", digest(loss, grads)
+                    yield name, h
+                    if h != by_sched["step_by_step"]:
+                        failures.append(f"{name}: differs from the step_by_step record")
             dataset = samples(graph, steps, seed=2) + samples(graph, steps, seed=3)
             for sched in schedulers:
                 trained, _ = training.train(
@@ -164,9 +190,12 @@ def records():
 
 
 def main():
-    for name, h in records():
+    failures = []
+    for name, h in records(failures):
         print(f"{name} {h}", flush=True)
-    return 0
+    for failure in failures:
+        print(f"check failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

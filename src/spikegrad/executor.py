@@ -398,15 +398,16 @@ def _forward_segments(ctx, params, x, rows, k, init, traced, keep):
     return _Forward(records, states, xs, rows, starts, saved)
 
 
-def _reverse(ctx, params, fwd, seeds, sg, acc, rg):
-    """BPTT over every slab of the forward pass fwd, the last first. When
-    the walk reaches a segment before the newest, it replays the segment
-    from its start into a buffer of saved arrays, which replaces the later
-    segment's. seeds(t) gives slab t's seeded gradient list; sg and acc are
-    _backward's and end as the gradients of each LIF's initial (U, I) and
-    of the parameters. Returns each slab's input gradient (None where none
-    arrived)."""
-    xs, rows, starts, saved = fwd.xs, fwd.rows, fwd.starts, fwd.saved
+def _reverse(ctx, params, fwd, saved, seeds, sg, acc, rg):
+    """BPTT over every slab of the forward pass fwd, the last first, from
+    saved, the newest segment's saved arrays by slab. When the walk reaches
+    a segment before the newest, it empties saved, freeing the later
+    segment's arrays, and replays the segment from its start into it, so a
+    caller that walks again passes a copy. seeds(t) gives slab t's seeded
+    gradient list; sg and acc are _backward's and end as the gradients of
+    each LIF's initial (U, I) and of the parameters. Returns each slab's
+    input gradient (None where none arrived)."""
+    xs, rows, starts = fwd.xs, fwd.rows, fwd.starts
     n = xs.shape[0] // rows
     x_grads = [None] * n
     first = n - len(saved)  # the first slab of the segment in saved
@@ -415,7 +416,7 @@ def _reverse(ctx, params, fwd, seeds, sg, acc, rg):
     for t in range(n - 1, -1, -1):
         if t < first:
             t0, start_states, prev = next(earlier)
-            saved = []
+            saved.clear()
             _slabs(ctx, params, xs, t0, first * rows, rows, list(start_states), prev, saved)
             first = t0 // rows
         nxt = None
@@ -573,7 +574,8 @@ def _hand_over(arrived, key):
 
 def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
     """graph_run's backward. It holds arrays, the program and plain values,
-    never a Tensor, so a dropped tape is freed by reference counting."""
+    never a Tensor, so a dropped tape is freed by reference counting. It
+    walks a copy of fwd.saved, so it can run twice."""
     traced, rows = list(fwd.records), fwd.rows
 
     def bwd(_):
@@ -591,7 +593,7 @@ def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
         acc = {name: None for kind, name in keys if kind == "param"}
         sg = [(got.get(("U", k)), got.get(("I", k)), got.get(("S", k)))
               for k in range(len(ctx.lifs))]
-        x_grads = _reverse(ctx, pdata, fwd, seeds, sg, acc, rg)
+        x_grads = _reverse(ctx, pdata, fwd, list(fwd.saved), seeds, sg, acc, rg)
         out = []
         for kind, key in keys:
             if kind == "param":
@@ -664,17 +666,19 @@ def _loss_and_grad(graph, plan, input_spikes, init_states_map, loss_head):
         gr[ctx.cur[out]] = seed
         return gr
 
-    acc = {name: None for name in sorted(params)}
-    _reverse(ctx, params, fwd, seeds, [(None, None, None)] * len(ctx.lifs), acc,
-             ctx.requires_grad(False, set(params), set()))
-    grads = {name: np.zeros_like(params[name]) if g is None else g for name, g in acc.items()}
     # every slab saves arrays of the same shapes; the longest segment peaks
     slab_bytes = sum({id(a): a.nbytes for a in fwd.saved[0]}.values())
+    peak_saved_bytes = slab_bytes * (k if fwd.starts else len(fwd.saved))
+    acc = {name: None for name in sorted(params)}
+    # the walk frees the newest segment's arrays before its first replay
+    _reverse(ctx, params, fwd, fwd.saved, seeds, [(None, None, None)] * len(ctx.lifs), acc,
+             ctx.requires_grad(False, set(params), set()))
+    grads = {name: np.zeros_like(params[name]) if g is None else g for name, g in acc.items()}
     segments = len(fwd.starts) + 1
     stats = {
         "segments": segments,
         "peak_tape_nodes": 0,
-        "peak_saved_bytes": slab_bytes * (k if fwd.starts else len(fwd.saved)),
+        "peak_saved_bytes": peak_saved_bytes,
         "boundary_tensor_count": segments * (3 * len(ctx.lifs) + len(ctx.delay1_sources)),
         "logits": logits,
     }

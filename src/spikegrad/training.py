@@ -95,28 +95,20 @@ def spike_count_ce_loss(record, target):
     return SpikeCountCELoss(target).loss_tensor(record)
 
 
-def _sample_loss_and_grad(graph, plan, inputs, target, init_mode, init_seed):
-    """One sample's (loss, gradients by parameter name, summed logits). The
-    executor's tape-free BPTT differentiates every plan: one segment
-    without checkpoint_every, and one T-row slab in layer_by_layer."""
-    states = executor.init_states(graph, mode=init_mode, seed=init_seed)
-    loss, grads, stats = executor._loss_and_grad(graph, plan, inputs, states,
-                                                 SpikeCountCELoss(target))
-    return loss, grads, stats["logits"]
-
-
 def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed):
     """Batch-mean loss, batch-mean gradients and each sample's logits, from
-    ordered per-sample sums so the result is deterministic."""
+    ordered per-sample sums so the result is deterministic. The executor's
+    tape-free BPTT differentiates each sample under every plan: one segment
+    without checkpoint_every, and one T-row slab in layer_by_layer."""
     total_loss = 0.0
     total = None
     logits = []
     for inputs, target in batch:
-        loss, named, sample_logits = _sample_loss_and_grad(
-            graph, plan, inputs, target, init_mode, init_seed
-        )
+        states = executor.init_states(graph, mode=init_mode, seed=init_seed)
+        loss, named, stats = executor._loss_and_grad(graph, plan, inputs, states,
+                                                     SpikeCountCELoss(target))
         total_loss += loss
-        logits.append(sample_logits)
+        logits.append(stats["logits"])
         total = named if total is None else {k: total[k] + named[k] for k in total}
     n = len(batch)
     return total_loss / n, {k: v / n for k, v in total.items()}, logits

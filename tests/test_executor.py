@@ -1,5 +1,6 @@
 """Schedulers, the fused layer_by_layer scan, delayed feedback, and gradient checkpointing."""
 
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -459,6 +460,31 @@ class TestRunHonoursCheckpointEvery:
         first, second = tape.grads_from_seeds(seed), tape.grads_from_seeds(seed)
         for nid in first:
             assert np.array_equal(first[nid], second[nid])
+
+    def test_replay_frees_the_newest_segment(self, monkeypatch):
+        # run_with_checkpointing must drop the newest segment's saved arrays
+        # before it replays the segment before it, so that one segment's
+        # arrays are alive at a time
+        newest, alive = [], []
+        forward_segments, backward = executor_mod._forward_segments, executor_mod._backward
+
+        def spy_forward(*args):
+            fwd = forward_segments(*args)
+            newest.extend(weakref.ref(a) for slab in fwd.saved for a in slab)
+            return fwd
+
+        def spy_backward(*args):
+            alive.append(sum(ref() is not None for ref in newest))
+            return backward(*args)
+
+        monkeypatch.setattr(executor_mod, "_forward_segments", spy_forward)
+        monkeypatch.setattr(executor_mod, "_backward", spy_backward)
+        run_with_checkpointing(self.g, ExecutionPlan("step_by_step", checkpoint_every=5),
+                               self.x, init_states(self.g),
+                               SpikeCountCELoss(np.array([0.0, 1.0, 0.0])))
+        # T = 12, k = 5: the newest segment is steps 10 and 11
+        assert len(alive) == self.T and newest
+        assert all(alive[:2]) and not any(alive[2:]), alive
 
     def test_layer_by_layer_with_checkpoint_every_rejected(self):
         g = mlp(dtype=np.float32)

@@ -10,6 +10,7 @@ float64 generator output.
 import numpy as np
 import pytest
 
+from spikegrad import executor
 from spikegrad.benchcli import gen_random_spikes
 from spikegrad.executor import ExecutionPlan, init_states, input_shape, run, run_with_checkpointing
 from spikegrad.neurons import NeuronState
@@ -244,17 +245,30 @@ class TestDtypeContract:
         assert_arrays_dtype(grads.values(), dtype)
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-    def test_train_step_keeps_parameter_dtype(self, dtype, optimizer, tapes):
-        g = conv_net(dtype)
-        data = [(spikes(g, 5, s), TARGET) for s in range(2)]
-        before = {k: v.copy() for k, v in g.params.items()}
-        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.1, optimizer=optimizer,
-                          plan=LBL)
-        g, _ = train(g, data, cfg)
-        for tape in tapes:
-            assert_tape_dtype(tape, dtype)
-        assert_arrays_dtype(g.params.values(), dtype)
-        assert any(not np.array_equal(g.params[k], before[k]) for k in before)
+    def test_train_step_keeps_parameter_dtype(self, dtype, optimizer, tapes, monkeypatch):
+        # train differentiates each sample with the executor's tape-free
+        # driver; its logits and gradients must keep the graph's dtype
+        computed = []
+        driver = executor._loss_and_grad
+
+        def recording_driver(*args):
+            loss, grads, stats = driver(*args)
+            computed.append([*grads.values(), stats["logits"]])
+            return loss, grads, stats
+
+        monkeypatch.setattr(executor, "_loss_and_grad", recording_driver)
+        for plan in (LBL, SBS):
+            g = conv_net(dtype)
+            data = [(spikes(g, 5, s), TARGET) for s in range(2)]
+            before = {k: v.copy() for k, v in g.params.items()}
+            cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.1, optimizer=optimizer,
+                              plan=plan)
+            g, _ = train(g, data, cfg)
+            assert_arrays_dtype(g.params.values(), dtype)
+            assert any(not np.array_equal(g.params[k], before[k]) for k in before)
+        assert tapes == [] and len(computed) == 4
+        for arrays in computed:
+            assert_arrays_dtype(arrays, dtype)
 
     def test_adam_moments_keep_parameter_dtype(self, dtype):
         g = conv_net(dtype)

@@ -5,7 +5,8 @@ or lif_smooth_step per LIF layer, ops.matmul per linear node and projection,
 ops.add per fan-in, ops.reshape and ops.conv2d_batched. The program computes
 the same forward expressions, so spikes and final states must be
 bit-identical; its backward is the fused BPTT walk, so gradients agree to
-rounding.
+rounding. The reference shares no code with the executor's segment forward
+and reverse walk, so it also checks run_with_checkpointing's replays.
 """
 
 import math
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikegrad import ops
-from spikegrad.executor import ExecutionPlan, init_states, input_shape, run
+from spikegrad.executor import (
+    ExecutionPlan,
+    SpikeRecord,
+    init_states,
+    input_shape,
+    run,
+    run_with_checkpointing,
+)
 from spikegrad.neurons import LIFParams, NeuronState, lif_smooth_step, lif_step
 from spikegrad.surrogates import SURROGATE_TAGS, SurrogateFn
 from spikegrad.tensor import Tape, Tensor
@@ -27,6 +35,7 @@ from spikegrad.topology import (
     linear_layer,
     topo_order,
 )
+from spikegrad.training import SpikeCountCELoss
 
 TOLERANCE = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-10}
 
@@ -168,3 +177,29 @@ class TestProgramAgainstPerOpReference:
         for name in want:
             assert got[name].dtype == want[name].dtype == graph.dtype, name
             assert rel_error(got[name], want[name]) < TOLERANCE[graph.dtype], name
+
+
+class TestCheckpointingAgainstPerOpReference:
+    @settings(max_examples=40, deadline=None)
+    @given(cases(), st.integers(1, 6))
+    def test_loss_and_parameter_gradients(self, case, k):
+        graph, rng, t, _ = case
+        k = min(k, t)
+        x = rng.uniform(0.0, 2.0, (t,) + input_shape(graph)).astype(graph.dtype)
+        states = init_states(graph, mode="uniform", seed=1)
+        out = graph.output_nodes[0]
+        classes = graph.node(out).shape[0]
+        head = SpikeCountCELoss(np.eye(classes)[int(rng.integers(classes))])
+        loss, got, _ = run_with_checkpointing(
+            graph, ExecutionPlan("step_by_step", checkpoint_every=k), x, states, head)
+        tape = Tape()
+        params = {n: tape.leaf(graph.params[n]) for n in sorted(graph.params)}
+        _, records = per_op_step_by_step(graph, Tensor(x), states, params)
+        ref = head.loss_tensor(SpikeRecord(outputs=records, steps=t))
+        grads = tape.grads_from_seeds({ref.node_id: np.ones((), dtype=graph.dtype)})
+        assert abs(loss - float(ref.data)) <= TOLERANCE[graph.dtype] * max(abs(loss), 1.0)
+        assert sorted(got) == sorted(params)
+        for name, leaf in params.items():
+            want = grads.get(leaf.node_id, np.zeros_like(leaf.data))
+            assert got[name].dtype == graph.dtype, name
+            assert rel_error(got[name], want) < TOLERANCE[graph.dtype], (k, name)

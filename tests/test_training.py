@@ -366,10 +366,11 @@ class TestTrainLoop:
         import spikegrad.training as tr
 
         def broken(*args, **kwargs):
-            return float("nan"), {k: np.zeros_like(v) for k, v in g.params.items()}, np.zeros(2)
+            zeros = {k: np.zeros_like(v) for k, v in g.params.items()}
+            return float("nan"), zeros, {"logits": np.zeros(2)}
 
         g = self.graph()
-        monkeypatch.setattr(tr, "_sample_loss_and_grad", broken)
+        monkeypatch.setattr(tr.executor, "_loss_and_grad", broken)
         cfg = TrainConfig(epochs=1, batch_size=4)
         with pytest.raises(TrainingDiverged) as exc:
             train(g, self.tiny_dataset(), cfg)

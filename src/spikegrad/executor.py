@@ -631,7 +631,9 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     The forward keeps only each segment's start (states and delay-1 values)
     every checkpoint_every steps and the newest segment's saved arrays; the
     reverse walk replays each earlier segment from its start when it
-    reaches it, so the result is bit-identical to a full-tape run.
+    reaches it, after freeing the later segment's arrays, so one segment's
+    arrays are alive at a time. The result is bit-identical to a full-tape
+    run.
 
     Returns (loss, gradients by parameter name, stats dict). The stats hold
     the segment count, the boundary arrays kept, peak_saved_bytes (the

@@ -228,24 +228,53 @@ def matmul_rows(a, b):
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def matmul_backward(a, b, g, need_a, need_b):
+def matmul_backward(a, b, g, need_a, need_b, samples=None):
     """Gradients (of a, of b; None where not needed) of matmul_rows(a, b)
     for the output gradient g.
 
-    For a one-row a the weight gradient is an outer product, a sum of one
-    term. Broadcasting computes that term at a fraction of a k=1 gemm's call
-    cost; adding it to +0, as the gemm's sum starts, turns an exact -0 into
-    +0 and changes no other bit, so both give the same bytes.
+    With samples, the rows of a and g hold that many samples, time-major
+    (row t * samples + s), and b's gradient is per sample, as _per_sample
+    gives it. Every product is taken per sample with the dimensions that a
+    one-sample call gives BLAS; a sample's rows are a strided matrix, which
+    changes no bit, while a product over more rows can sum in another order.
+
+    For one row per sample the weight gradient is an outer product, a sum of
+    one term. Broadcasting computes that term at a fraction of a k=1 gemm's
+    call cost; adding it to +0, as the gemm's sum starts, turns an exact -0
+    into +0 and changes no other bit, so both give the same bytes.
     """
-    ga = g @ b.T if need_a else None
-    if not need_b:
-        gb = None
-    elif a.shape[0] == 1:
-        gb = a.T * g
-        gb += 0.0
-    else:
-        gb = a.T @ g
+    per = 1 if samples is None else samples
+    ga = gb = None
+    if a.shape[0] == per:
+        if need_a:
+            ga = matmul_rows(g, b.T)
+        if need_b:
+            gb = a[:, :, None] * g[:, None, :]
+            gb += 0.0
+            if samples is None:
+                gb = gb[0]
+        return ga, gb
+    rows = a.shape[0] // per
+    g3 = g.reshape(rows, per, -1).transpose(1, 0, 2)  # [samples, rows, m]
+    if need_a:
+        ga = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(g, b))
+        np.matmul(g3, b.T, out=ga.reshape(rows, per, -1).transpose(1, 0, 2))
+    if need_b:
+        a3 = a.reshape(rows, per, -1).transpose(1, 2, 0)  # [samples, n, rows]
+        gb = _per_sample((a3[s] @ g3[s] for s in range(per)), samples, True)
     return ga, gb
+
+
+def _per_sample(grads, samples, many_rows):
+    """A parameter's gradient from grads, an iterator over the samples'
+    gradients: without samples, the one gradient; for several samples of
+    many rows, the iterator itself, so that one sample's gradient is alive
+    at a time; else all of them stacked, [samples, ...]."""
+    if samples is None:
+        return next(grads)
+    if samples > 1 and many_rows:
+        return grads
+    return np.stack(list(grads))
 
 
 def matmul(a, b):
@@ -356,10 +385,14 @@ def conv2d_forward(x4, kernel, stride, padding):
     return out.reshape(b, co, ho, wq)[..., :wo], planes
 
 
-def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k):
+def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k,
+                    samples=None):
     """Gradients (of the input, of the kernel; None where not needed) of
     conv2d_forward for the output gradient g [B, Co, Ho, Wo] and the phase
-    planes it returned.
+    planes it returned. With samples, the B rows hold that many samples,
+    time-major, and the kernel's gradient is per sample, as _per_sample
+    gives it, each summed over its sample's rows as a one-sample call sums
+    them.
 
     g goes on the ho x wq output grid, zero in the cropped columns, inside a
     flat buffer with a zero lead as long as the largest window offset. A
@@ -386,10 +419,14 @@ def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k)
             # a phase no tap reads (stride > k) gets no gradient
             dx[:, :, xr, xc] = 0 if dplane is None else dplane.reshape(b, ci, hq, wq)[:, :, r, col]
     if need_k:
+        per = 1 if samples is None else samples
         per_row = np.empty((k * k, b, co, ci), dtype=np.result_type(g, planes))
         for t, (_, _, p, off) in enumerate(taps):
             np.matmul(gw, planes[:, :, p, off : off + span].transpose(0, 2, 1), out=per_row[t])
-        dk = np.ascontiguousarray(per_row.sum(axis=1).reshape(k, k, co, ci).transpose(2, 3, 0, 1))
+        by_sample = per_row.reshape(k * k, b // per, per, co, ci)
+        dk = _per_sample((np.ascontiguousarray(by_sample[:, :, s].sum(axis=1)
+                                               .reshape(k, k, co, ci).transpose(2, 3, 0, 1))
+                          for s in range(per)), samples, b > per)
     return dx, dk
 
 
@@ -491,65 +528,79 @@ def smooth_spike(u, thr, surrogate, sharpness):
 
 
 def lif_scan_forward(xd, u, i, alpha, beta, thr, surrogate, subtract, sharpness):
-    """The LIF recurrence over the rows of xd [T, ...] from the states u, i,
-    each step with the expressions and dtypes of neurons.lif_step (of
-    lif_smooth_step with a sharpness). Returns (spikes [T, ...],
-    U_pre [T, ...], U_T, I_T, S_T)."""
+    """The LIF recurrence of B samples from their states u, i [B, ...] over
+    the rows of xd [T * B, ...], time-major (row t * B + s is step t of
+    sample s), each step with the expressions and dtypes of
+    neurons.lif_step (of lif_smooth_step with a sharpness). Returns
+    (spikes, U_pre, U_T, I_T, S_T), with spikes and U_pre in xd's rows."""
     dtype = np.result_type(xd, u, i)
-    if xd.shape[0] == 1:
+    if xd.shape[0] == u.shape[0]:
         # one step, as step_by_step runs it: the loop below without its
         # buffers and row views
-        i = i * beta + xd[0]
+        i = i * beta + xd
         p = u * alpha + i
         if sharpness is None:
             s = (p >= thr).astype(dtype)
         else:
             s = surrogate.primitive(p - thr, sharpness).astype(dtype, copy=False)
         u = p - s * thr if subtract else p * (1.0 - s)
-        return s[None], p[None], u, i, s
+        # the spike train and S_T are distinct arrays, as in the loop below
+        return s.view(), p, u, i, s
     u_pre = np.empty(xd.shape, dtype=dtype)
     spikes = np.empty(xd.shape, dtype=dtype)
-    for t in range(xd.shape[0]):
-        i = i * beta + xd[t]
-        p = u_pre[t]
+    by_step = (-1,) + u.shape
+    steps, pres, trains = xd.reshape(by_step), u_pre.reshape(by_step), spikes.reshape(by_step)
+    for t in range(steps.shape[0]):
+        i = i * beta + steps[t]
+        p = pres[t]
         np.add(u * alpha, i, out=p)
         if sharpness is None:
-            spikes[t] = p >= thr
+            trains[t] = p >= thr
         else:
-            spikes[t] = surrogate.primitive(p - thr, sharpness)
-        s = spikes[t]
+            trains[t] = surrogate.primitive(p - thr, sharpness)
+        s = trains[t]
         u = p - s * thr if subtract else p * (1.0 - s)
-    return spikes, u_pre, u, i, spikes[-1].copy()
+    return spikes, u_pre, u, i, trains[-1].copy()
 
 
-def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, sharpness):
-    """BPTT through lif_scan_forward from the spike-train gradient g [T, ...]
-    and the gradients gu, gi on U_T, I_T (a Python 0.0 for an unseeded one,
+def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, sharpness,
+                      samples=1):
+    """BPTT through lif_scan_forward from its U_pre [T * B, ...] of B =
+    samples samples, the spike-train gradient g in U_pre's shape and the
+    gradients gu, gi [B, ...] on U_T, I_T (a Python 0.0 for an unseeded one,
     which takes the other operand's dtype, as the zero array it stands
-    for). Returns the gradients of (x [T, ...], U_0, I_0); evaluates the
-    surrogate once over U_pre."""
+    for). Returns the gradients of (x, in U_pre's shape, U_0, I_0);
+    evaluates the surrogate once over U_pre."""
     gdt = np.result_type(g, u_pre.dtype)
     d = u_pre - thr
     if sharpness is None:
         sg = surrogate(d).astype(gdt, copy=False)
     else:
         sg = surrogate.primitive_grad(d, sharpness).astype(gdt, copy=False)
+    if not subtract:
+        if sharpness is None:
+            s_all = (u_pre >= thr).astype(gdt)
+        else:
+            s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
+    del d
     # dL/dU_pre[t] = gU[t] * a[t] + b[t], where gU[t] is the gradient on the
     # post-reset U[t]: b is the spike-train term through the surrogate, a
     # the reset's direct path plus its path through S[t]
     b = g * sg
     if subtract:
-        a = 1.0 - thr * sg
+        # 1 - thr * sg, computed over sg (a new array), which is then spent
+        a = np.multiply(sg, thr, out=sg)
+        np.subtract(1.0, a, out=a)
     else:
-        if sharpness is None:
-            s_all = (u_pre >= thr).astype(gdt)
-        else:
-            s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
         a = (1.0 - s_all) - u_pre * sg
-    gx = np.empty(u_pre.shape, dtype=np.result_type(gdt, gu, gi))
-    for t in range(u_pre.shape[0] - 1, -1, -1):
-        dp = gu * a[t] + b[t]
-        di = np.add(dp, gi, out=gx[t])
+    del sg
+    # step t's rows of gx are written after b's are read, so gx may take b's place
+    gxdt = np.result_type(gdt, gu, gi)
+    gx = b if b.dtype == gxdt else np.empty(u_pre.shape, dtype=gxdt)
+    for r in range(u_pre.shape[0] - samples, -1, -samples):
+        step = slice(r, r + samples)
+        dp = gu * a[step] + b[step]
+        di = np.add(dp, gi, out=gx[step])
         gu = dp * alpha
         gi = di * beta
     return gx, gu, gi
@@ -586,7 +637,9 @@ def lif_scan(x, u0, i0, params, sharpness=None):
         )
     args = lif_args(params, sharpness)
     tape = _tape_of(x, u0, i0)
-    spikes, u_pre, u, i, s_last = lif_scan_forward(x.data, u0.data, i0.data, *args)
+    # one sample: the kernels' sample axis has length 1
+    spikes, u_pre, u, i, s_last = lif_scan_forward(x.data, u0.data[None], i0.data[None], *args)
+    u, i, s_last = u[0], i[0], s_last[0]
     if tape is None:
         return Tensor(spikes), Tensor(u), Tensor(i), Tensor(s_last)
 
@@ -594,12 +647,14 @@ def lif_scan(x, u0, i0, params, sharpness=None):
     taped = [t for t, on in zip((x, u0, i0), on_tape) if on]
     # the closures below hold shapes and arrays only, never a Tensor, so a
     # dropped tape is freed by reference counting without a cycle
-    seq_shape = u_pre.shape
+    seq_shape, state_shape = spikes.shape, u.shape
     dtype = u_pre.dtype
     final = {}  # gradients seeded on U_T / I_T, consumed by the scan's backward
 
     def bwd(g):
-        grads = lif_scan_backward(u_pre, g, final.pop("U", 0.0), final.pop("I", 0.0), *args)
+        gx, gu, gi = lif_scan_backward(u_pre, g, final.pop("U", 0.0), final.pop("I", 0.0),
+                                       *args)
+        grads = (gx, gu.reshape(state_shape), gi.reshape(state_shape))
         return [g for g, on in zip(grads, on_tape) if on]
 
     out = _record(tape, "lif_scan", spikes, taped, bwd)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -95,21 +96,40 @@ def spike_count_ce_loss(record, target):
     return SpikeCountCELoss(target).loss_tensor(record)
 
 
+# The bytes that one micro-batch of a training step may keep for its
+# reverse walk: the arrays its forward saves plus its per-sample parameter
+# gradients, as _ExecContext.sample_bytes counts them from the program's
+# shapes, T and dtype. 3 MiB holds 4 samples of the benchmark's float32 MLP
+# (T = 100: 439 KB saved and its 256 x 256 weight's gradient per sample)
+# and 1 of its CNN (T = 25: 1.82 MB saved).
+MICRO_BATCH_BYTES = 3 * 2**20
+
+
+def _input_shape(inputs):
+    return inputs.shape if isinstance(inputs, Tensor) else np.shape(inputs)
+
+
 def _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed):
     """Batch-mean loss, batch-mean gradients and each sample's logits, from
     ordered per-sample sums so the result is deterministic. The executor's
-    tape-free BPTT differentiates each sample under every plan: one segment
-    without checkpoint_every, and one T-row slab in layer_by_layer."""
+    tape-free BPTT differentiates each run of consecutive samples of one
+    input shape in micro-batches that MICRO_BATCH_BYTES sizes, each one
+    pass over the stacked samples, under every plan: one segment without
+    checkpoint_every, and one slab of all T steps in layer_by_layer. Each
+    sample's gradients are added to the batch total in sample order, so the
+    bytes are those of differentiating the samples one by one."""
     total_loss = 0.0
-    total = None
+    total = {}
     logits = []
-    for inputs, target in batch:
-        states = executor.init_states(graph, mode=init_mode, seed=init_seed)
-        loss, named, stats = executor._loss_and_grad(graph, plan, inputs, states,
-                                                     SpikeCountCELoss(target))
-        total_loss += loss
-        logits.append(stats["logits"])
-        total = named if total is None else {k: total[k] + named[k] for k in total}
+    states = executor.init_states(graph, mode=init_mode, seed=init_seed)
+    for _, run in itertools.groupby(batch, key=lambda sample: _input_shape(sample[0])):
+        inputs, targets = zip(*run)
+        heads = [SpikeCountCELoss(target) for target in targets]
+        losses, run_logits, _ = executor._loss_and_grad(
+            graph, plan, inputs, [states] * len(inputs), heads, total, MICRO_BATCH_BYTES)
+        for loss in losses:
+            total_loss += loss
+        logits += run_logits
     n = len(batch)
     return total_loss / n, {k: v / n for k, v in total.items()}, logits
 
@@ -127,9 +147,10 @@ def _batch_loss(graph, plan, batch, init_mode, init_seed):
 
 def loss_and_grad(graph, plan, batch, init_mode="zeros", init_seed=0):
     """Batch-mean loss and parameter gradients (deterministic ordered sums).
-    Each sample is differentiated without a tape, in segments of the plan's
-    checkpoint_every steps when it is set; the bytes are those of a
-    full-tape run whatever the segments."""
+    The samples are differentiated without a tape, in micro-batches as train
+    forms them, and in segments of the plan's checkpoint_every steps when it
+    is set; the bytes are those of a full-tape run of each sample whatever
+    the segments and micro-batches."""
     if not batch:
         raise ValidationError("batch must be nonempty")
     loss, grads, _ = _batch_loss_and_grad(graph, plan, batch, init_mode, init_seed)
@@ -245,9 +266,14 @@ def train(graph, dataset, config, stop_at_accuracy=None, log_every=None):
     """Mini-batch training; returns (graph with updated params, metric rows).
 
     Batches are reshuffled per epoch with a seeded generator and neuron
-    states are re-initialized for every sample. Each sample is
+    states are re-initialized for every sample. Each batch is
     differentiated as loss_and_grad does it, with no tape, and with
-    config.plan's checkpoint_every honoured. Metric rows are (epoch,
+    config.plan's checkpoint_every honoured: consecutive samples of one
+    input shape are stacked along a sample axis into micro-batches of as
+    many samples as MICRO_BATCH_BYTES holds, each differentiated in one
+    pass, and each sample's gradients are added to the batch total in
+    sample order. So a batch trains to the bytes of a loop over its
+    samples, whatever the micro-batch size. Metric rows are (epoch,
     mean_loss, accuracy, wall_ms).
     """
     if not dataset:

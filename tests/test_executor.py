@@ -498,6 +498,65 @@ class TestRunHonoursCheckpointEvery:
                 init_states(self.g))
 
 
+class TestDropsConsumedArrays:
+    """The forward and the reverse walk let go of what no later instruction
+    reads, rather than keeping it until the slab is done."""
+
+    def setup_method(self):
+        self.g = mlp(dtype=np.float32, width=8)
+        self.x = (np.random.default_rng(2).random((9, 4)) < 0.5).astype(np.float32)
+
+    def test_forward_drops_a_value_after_its_last_reader(self, monkeypatch):
+        # layer_by_layer is one slab of all T steps; each matmul's output is
+        # read by its LIF layer only, so it is gone before the next scan
+        outputs, alive = [], []
+        matmul_rows, scan = executor_mod.ops.matmul_rows, executor_mod.ops.lif_scan_forward
+
+        def spy_matmul(*args):
+            out = matmul_rows(*args)
+            outputs.append(weakref.ref(out))
+            return out
+
+        def spy_scan(*args):
+            alive.append(sum(ref() is not None for ref in outputs))
+            return scan(*args)
+
+        monkeypatch.setattr(executor_mod.ops, "matmul_rows", spy_matmul)
+        monkeypatch.setattr(executor_mod.ops, "lif_scan_forward", spy_scan)
+        run(self.g, ExecutionPlan("layer_by_layer"), self.x, init_states(self.g))
+        assert alive == [1, 1]
+
+    def test_reverse_walk_drops_saved_arrays_and_gradients_once_read(self, monkeypatch):
+        # each saved array is gone by the next kernel call of the walk, and
+        # no slot gradient or saved array outlives its instruction's backward
+        saved_refs, alive, left = [], [], []
+        forward_segments, backward = executor_mod._forward_segments, executor_mod._backward
+
+        def spy_forward(*args):
+            fwd = forward_segments(*args)
+            saved_refs.extend(weakref.ref(a) for slab in fwd.saved for a in slab)
+            return fwd
+
+        def spy_backward(ctx, params, gr, saved, *rest):
+            backward(ctx, params, gr, saved, *rest)
+            left.append(sum(v is not None for v in gr + saved))
+
+        def counting(kernel):
+            def call(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in saved_refs))
+                return kernel(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(executor_mod, "_forward_segments", spy_forward)
+        monkeypatch.setattr(executor_mod, "_backward", spy_backward)
+        for name in ("lif_scan_backward", "matmul_backward"):
+            monkeypatch.setattr(executor_mod.ops, name, counting(getattr(executor_mod.ops, name)))
+        loss_and_grad(self.g, ExecutionPlan("layer_by_layer"), [(self.x, np.eye(3)[1])])
+        # two scans and two matmuls read one saved array each, the last first
+        assert alive == [4, 3, 2, 1] and left == [0]
+
+
 class TestTrace:
     def test_write_trace_csv(self, tmp_path):
         g = sequential([lif_layer(2)], input_shape=(2,), dtype=np.float64)

@@ -254,6 +254,52 @@ class TestConvKernel:
         assert np.stack(drows).tobytes() == np.ascontiguousarray(dx).tobytes()
 
 
+class TestPerSampleKernels:
+    """Over the time-major rows of several samples (row t * samples + s),
+    matmul_backward and conv2d_backward give each sample the bytes of a
+    one-sample call. A product or a sum over all samples' rows at once would
+    not: on OpenBLAS, a 125-row g @ W.T rounds differently from five 25-row
+    ones, and a sum over 25 rows of a 1 x 1 kernel's gradient goes pairwise
+    for one sample but row by row for five."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows, samples", [(1, 3), (7, 8), (25, 5)])
+    def test_matmul_backward(self, dtype, rows, samples):
+        rng = np.random.default_rng(rows * 10 + samples)
+        a = rng.standard_normal((rows * samples, 17)).astype(dtype)
+        g = rng.standard_normal((rows * samples, 33)).astype(dtype)
+        w = rng.standard_normal((17, 33)).astype(dtype)
+        ga, gw = ops.matmul_backward(a, w, g, True, True, samples)
+        gw = list(gw)
+        assert len(gw) == samples
+        for s in range(samples):
+            one_a, one_w = ops.matmul_backward(np.ascontiguousarray(a[s::samples]), w,
+                                               np.ascontiguousarray(g[s::samples]), True, True)
+            assert ga[s::samples].tobytes() == one_a.tobytes(), s
+            assert gw[s].tobytes() == one_w.tobytes(), s
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows, samples", [(1, 3), (25, 5)])
+    @pytest.mark.parametrize("c, co, k, stride, padding", [(1, 1, 1, 1, 0), (2, 3, 3, 2, 1)])
+    def test_conv2d_backward(self, dtype, rows, samples, c, co, k, stride, padding):
+        rng = np.random.default_rng(rows * 10 + samples + k)
+        x = rng.uniform(-1, 1, (rows * samples, c, 5, 6)).astype(dtype)
+        kernel = rng.uniform(-1, 1, (co, c, k, k)).astype(dtype)
+        out, planes = ops.conv2d_forward(x, kernel, stride, padding)
+        g = rng.uniform(-1, 1, out.shape).astype(dtype)
+        dx, dk = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, True,
+                                     samples)
+        dk = list(dk)
+        assert len(dk) == samples
+        for s in range(samples):
+            xs, gs = np.ascontiguousarray(x[s::samples]), np.ascontiguousarray(g[s::samples])
+            _, one_planes = ops.conv2d_forward(xs, kernel, stride, padding)
+            one_x, one_k = ops.conv2d_backward(gs, one_planes, kernel, xs.shape, stride,
+                                               padding, True, True)
+            assert dx[s::samples].tobytes() == one_x.tobytes(), s
+            assert dk[s].tobytes() == one_k.tobytes(), s
+
+
 class TestElementwise:
     def test_scale_zero(self):
         assert ops.scale(Tensor([1.0, 2.0, 3.0]), 0.0).data.tolist() == [0.0, 0.0, 0.0]

@@ -1,13 +1,24 @@
 """Loss heads, optimizers, gradient oracles, and the training loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spikegrad import ops
-from spikegrad.executor import ExecutionPlan, SpikeRecord
+from spikegrad import executor, ops, training
+from spikegrad.executor import ExecutionPlan, SpikeRecord, init_states
 from spikegrad.neurons import LIFParams, NeuronState, lif_step
 from spikegrad.tensor import ContractError, ShapeError, Tape, Tensor, ValidationError
-from spikegrad.topology import lif_layer, linear_layer, sequential, sequential_recurrent
+from spikegrad.topology import (
+    conv_layer,
+    flatten_layer,
+    lif_layer,
+    linear_layer,
+    sequential,
+    sequential_recurrent,
+)
 from spikegrad.training import (
     GradReport,
     SpikeCountCELoss,
@@ -161,9 +172,10 @@ class TestLossAndGrad:
         l0, g0 = loss_and_grad(g, plan, samples[:1])
         l1, g1 = loss_and_grad(g, plan, samples[1:])
         lb, gb = loss_and_grad(g, plan, samples)
-        assert abs(lb - 0.5 * (l0 + l1)) < 1e-12
+        # both samples share one micro-batch, which keeps a loop's bytes
+        assert lb == 0.5 * (l0 + l1)
         for name in gb:
-            assert np.allclose(gb[name], 0.5 * (g0[name] + g1[name]), atol=1e-12)
+            assert gb[name].tobytes() == (0.5 * (g0[name] + g1[name])).tobytes(), name
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
@@ -365,9 +377,9 @@ class TestTrainLoop:
         # per-sample level to exercise the guard
         import spikegrad.training as tr
 
-        def broken(*args, **kwargs):
-            zeros = {k: np.zeros_like(v) for k, v in g.params.items()}
-            return float("nan"), zeros, {"logits": np.zeros(2)}
+        def broken(graph, plan, inputs, init_maps, heads, total, budget=None):
+            total.update({k: np.zeros_like(v) for k, v in g.params.items()})
+            return [float("nan")] * len(inputs), [np.zeros(2)] * len(inputs), {}
 
         g = self.graph()
         monkeypatch.setattr(tr.executor, "_loss_and_grad", broken)
@@ -382,3 +394,150 @@ class TestTrainLoop:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,mean_loss,accuracy,wall_ms"
         assert lines[1] == "0,0.5,0.75,12.000"
+
+
+def per_sample_loop(graph, plan, batch, init_mode="zeros", init_seed=0):
+    """Batch-mean loss and gradients of a loop that differentiates each
+    sample alone with the executor's driver and sums them in sample order."""
+    total_loss, total = 0.0, None
+    for x, target in batch:
+        grads = {}
+        (loss,), _, _ = executor._loss_and_grad(
+            graph, plan, [x], [init_states(graph, mode=init_mode, seed=init_seed)],
+            [SpikeCountCELoss(target)], grads)
+        total_loss += loss
+        total = grads if total is None else {k: total[k] + grads[k] for k in total}
+    n = len(batch)
+    return total_loss / n, {k: v / n for k, v in total.items()}
+
+
+def micro_batch_budget(graph, plan, steps, samples):
+    """A MICRO_BATCH_BYTES that holds `samples` samples of `steps` steps."""
+    rows = steps if plan.scheduler == "layer_by_layer" else 1
+    ctx = executor._ExecContext(graph)
+    return samples * ctx.sample_bytes(steps, rows, plan.checkpoint_every)
+
+
+def assert_same_bytes(got, want):
+    (loss, grads), (ref_loss, ref_grads) = got, want
+    assert loss == ref_loss
+    assert list(grads) == list(ref_grads)
+    for name in ref_grads:
+        assert grads[name].dtype == ref_grads[name].dtype, name
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+def trains_like_the_loop(graph, plan, dataset, mode):
+    """One Adam step of train over the whole dataset against optimizer_step
+    on the per-sample loop's gradients, in train's shuffled order."""
+    cfg = TrainConfig(epochs=1, batch_size=len(dataset), learning_rate=1e-2, seed=3,
+                      plan=plan, init_state_mode=mode)
+    trained, metrics = train(graph.copy_with_params(graph.params), dataset, cfg)
+    order = np.random.default_rng(cfg.seed).permutation(len(dataset))
+    ref_loss, ref_grads = per_sample_loop(graph, plan, [dataset[i] for i in order], mode,
+                                          cfg.seed)
+    want, _ = optimizer_step(graph.params, ref_grads, None, cfg)
+    assert metrics[0][1] == float(np.mean([ref_loss]))
+    for name in want:
+        assert trained.params[name].tobytes() == want[name].tobytes(), name
+
+
+def batch_graph(kind, dtype, smooth):
+    """Small graphs with the benchmark's layer kinds: an MLP, a CNN with
+    stride 1 or 2, and a recurrent net with a delay-1 feedback weight."""
+    lif = {"smooth_sharpness": smooth}
+    if kind == "mlp":
+        return sequential([linear_layer(5, in_features=3), lif_layer(5, **lif),
+                           linear_layer(3), lif_layer(3, **lif)],
+                          input_shape=(3,), seed=4, dtype=dtype)
+    if kind.startswith("cnn"):
+        return sequential([conv_layer(2, 3, 3, stride=int(kind[-1]), padding=1),
+                           lif_layer(**lif), flatten_layer(), linear_layer(3),
+                           lif_layer(3, **lif)],
+                          input_shape=(2, 5, 5), seed=4, dtype=dtype)
+    return sequential_recurrent([linear_layer(5, in_features=3), lif_layer(5, **lif),
+                                 linear_layer(3), lif_layer(3, **lif)],
+                                feedback=[(3, 1)], input_shape=(3,), seed=4, dtype=dtype)
+
+
+@st.composite
+def batch_cases(draw):
+    kind = draw(st.sampled_from(["mlp", "cnn1", "cnn2", "rec"]))
+    graph = batch_graph(kind, draw(st.sampled_from([np.float32, np.float64])),
+                        draw(st.sampled_from([None, 15.0])))
+    schedulers = ["step_by_step"] if kind == "rec" else ["step_by_step", "layer_by_layer"]
+    scheduler = draw(st.sampled_from(schedulers))
+    # two sample lengths, so a batch may mix T
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    steps = draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=5))
+    k = None
+    if scheduler == "step_by_step" and draw(st.booleans()):
+        k = draw(st.integers(1, min(steps)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = executor.input_shape(graph)
+    batch = [(rng.uniform(0.0, 2.0, (t,) + shape), np.eye(3)[rng.integers(3)]) for t in steps]
+    mode = draw(st.sampled_from(["zeros", "uniform"]))
+    return graph, ExecutionPlan(scheduler, checkpoint_every=k), batch, mode, draw(
+        st.integers(1, 4))
+
+
+class TestMicroBatches:
+    """train and loss_and_grad stack samples of one shape into micro-batches
+    and must keep the bytes of a loop over the samples."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_loss_grads_and_train_step_match_the_per_sample_loop(self, case):
+        graph, plan, batch, mode, samples = case
+        budget = micro_batch_budget(graph, plan, batch[0][0].shape[0], samples)
+        with mock.patch.object(training, "MICRO_BATCH_BYTES", budget):
+            assert_same_bytes(loss_and_grad(graph, plan, batch, mode, 5),
+                              per_sample_loop(graph, plan, batch, mode, 5))
+            trains_like_the_loop(graph, plan, batch, mode)
+
+    @pytest.mark.parametrize("scheduler", ["step_by_step", "layer_by_layer"])
+    def test_mixed_t_batch_trains_like_the_per_sample_loop(self, scheduler):
+        g, plan = smooth_mlp(), ExecutionPlan(scheduler)
+        rng = np.random.default_rng(7)
+        batch = [((rng.random((t, 3)) < 0.5) * 1.0, np.eye(2)[t % 2]) for t in (6, 6, 6, 4, 6, 4)]
+        # micro-batches of 2: [6, 6], [6], [4], [6], [4]
+        with mock.patch.object(training, "MICRO_BATCH_BYTES", micro_batch_budget(g, plan, 6, 2)):
+            assert_same_bytes(loss_and_grad(g, plan, batch), per_sample_loop(g, plan, batch))
+            trains_like_the_loop(g, plan, batch, "zeros")
+
+    def test_benchmark_shapes_get_their_micro_batch(self):
+        # 3 MiB holds 4 samples of the float32 MLP at T = 100 and 1 of the
+        # CNN at T = 25
+        mlp = sequential([linear_layer(256, in_features=64), lif_layer(256), linear_layer(256),
+                          lif_layer(256), linear_layer(10), lif_layer(10)],
+                         input_shape=(64,), dtype=np.float32)
+        cnn = sequential([conv_layer(2, 16, 3, padding=1), lif_layer(),
+                          conv_layer(16, 16, 3, padding=1), lif_layer(), flatten_layer(),
+                          linear_layer(10), lif_layer(10)],
+                         input_shape=(2, 16, 16), dtype=np.float32)
+        for graph, steps, samples in ((mlp, 100, 4), (cnn, 25, 1)):
+            per_sample = executor._ExecContext(graph).sample_bytes(steps, steps, None)
+            assert training.MICRO_BATCH_BYTES // per_sample == samples
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda x: np.where(np.arange(x.size).reshape(x.shape) == 5, np.nan, x),
+         ValidationError),
+        (lambda x: np.where(np.arange(x.size).reshape(x.shape) == 5, np.inf, x),
+         ValidationError),
+        (lambda x: x[..., None], ShapeError),
+        (lambda x: Tape().leaf(x.astype(np.float64)), ValidationError),
+    ], ids=["nan", "inf", "rank", "taped_dtype"])
+    def test_one_bad_sample_raises_as_in_the_loop(self, bad, error):
+        g = sequential([linear_layer(5, in_features=3), lif_layer(5), linear_layer(2),
+                        lif_layer(2)], input_shape=(3,), seed=1, dtype=np.float32)
+        rng = np.random.default_rng(3)
+        batch = [((rng.random((6, 3)) < 0.5).astype(np.float32), np.eye(2)[i % 2])
+                 for i in range(4)]
+        batch[2] = (bad(batch[2][0]), batch[2][1])
+        plan = ExecutionPlan("layer_by_layer")
+        with pytest.raises(error):
+            per_sample_loop(g, plan, batch)
+        with pytest.raises(error):
+            loss_and_grad(g, plan, batch)
+        with pytest.raises(error):
+            train(g, batch, TrainConfig(epochs=1, batch_size=4, plan=plan))

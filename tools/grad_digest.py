@@ -16,8 +16,12 @@ with a delay-1 feedback weight), plus a CNN whose convs have stride 2 and
 padding 1, built here, in float32 and float64. Each graph gets records for
 step_by_step on a full tape, layer_by_layer where the graph allows it,
 run_with_checkpointing at k = 7, 10 and T, a taped run whose input, initial
-states and final state are taped as well, and the parameters after a
-two-batch Adam train.
+states and final state are taped as well, and the parameters after an Adam
+epoch over four samples, once in batches of 2 and 2 and once in batches of
+3 and 1. train differentiates a batch in micro-batches of as many samples
+as training.MICRO_BATCH_BYTES allows, so where the budget holds several
+samples, the batches of 3 and 1 train a micro-batch of several samples
+and one of a single sample.
 
 The tool also checks itself, and prints what failed to stderr and exits 1
 when a check fails: per scheduler, training.loss_and_grad (which builds no
@@ -182,11 +186,13 @@ def records(failures):
                         failures.append(f"{name}: differs from the step_by_step record")
             dataset = samples(graph, steps, seed=2) + samples(graph, steps, seed=3)
             for sched in schedulers:
-                trained, _ = training.train(
-                    graph.copy_with_params(graph.params), dataset,
-                    training.TrainConfig(epochs=1, batch_size=2, learning_rate=1e-3,
-                                         optimizer="adam", seed=0, plan=ExecutionPlan(sched)))
-                yield f"{tag}.{sched}.adam_2_batches.params", digest(0.0, trained.params)
+                for batch_size, record in ((2, "adam_2_batches"), (3, "adam_batches_3_1")):
+                    trained, _ = training.train(
+                        graph.copy_with_params(graph.params), dataset,
+                        training.TrainConfig(epochs=1, batch_size=batch_size, learning_rate=1e-3,
+                                             optimizer="adam", seed=0,
+                                             plan=ExecutionPlan(sched)))
+                    yield f"{tag}.{sched}.{record}.params", digest(0.0, trained.params)
 
 
 def main():

@@ -13,39 +13,62 @@ loop order:
 
 * layer_by_layer: one slab of all T steps, so each LIF layer is one fused
   scan. Only valid for graphs without delay-1 edges.
-* step_by_step: one one-step slab per time step. Delay-1 edges read the
-  source's previous-step output (zeros at step 0), so arbitrary feedback is
-  supported.
+* step_by_step: delay-1 edges read the source's previous-step output
+  (zeros at step 0), so arbitrary feedback is supported. Only what lies on
+  a feedback cycle needs the previous step, so the program splits into
+  three phases (_ExecContext._phases). pre, the longest run of
+  instructions at the program's start that no cycle reaches, runs over all
+  of a segment's rows at once; stepped, which holds every cycle, runs on a
+  one-step slab per time step; post, the longest run at the program's end
+  that reaches no cycle, runs over all of the segment's rows after the
+  stepped loop. A delay-1 edge's source and readers stay stepped. A graph
+  without a feedback cycle is stepped whole, one slab per step.
 
 A run carries B samples of one shape along a sample axis: every slot holds
 [steps * B, ...] rows, time-major (row t * B + s is step t of sample s),
 and each LIF state is [B, ...]. The row kernels (one gemv per row in
 matmul_rows, per-row tap products in conv2d_forward) see B times the rows
 and compute each row's bytes as before; a LIF layer scans the slab's steps
-over rows of B samples. What sums over rows (the weight and kernel
-gradients, g @ W.T of a many-step slab) is taken per sample, with the
+over rows of B samples. What sums over the rows of a layer_by_layer slab
+(the weight and kernel gradients, g @ W.T) is taken per sample, with the
 operand dimensions of a one-sample run, so every sample's results have the
 bytes of its own run. run and run_with_checkpointing run one sample
 (B = 1); training stacks equal-shape samples into micro-batches
 (_loss_and_grad), B of them as its byte budget allows
 (_ExecContext.sample_bytes).
 
-One forward and one reverse walk serve every run. _forward_segments runs
-the program slab by slab. When the run is differentiated, it splits the
-run into segments of checkpoint_every steps (one segment without it),
+One forward and one reverse walk serve every run. _forward_segments splits
+the run into segments of checkpoint_every steps when it is differentiated
+(one segment without it) and runs each segment phase by phase (_slabs):
+the pre phase over the segment's rows, the stepped slabs, which read the
+pre phase's values row by row, then the post phase over the segment's
+rows, which reads the stepped slabs' values gathered into one array. It
 keeps each segment's start (LIF states and delay-1 values) and saves, for
 the newest segment only, what the reverse walk reads: each LIF's U_pre,
 each matmul's input and each conv's zero-padded input, split into its flat
-phase planes (ops.conv2d_forward). In a slab of many steps, a value is
-dropped after its last reader. _reverse walks the slabs back, the program
-in reverse within a slab, and replays each earlier segment from its start
-when it reaches it. It drops each slot's gradient and each saved array once
-their instruction's backward ran. It sums every gradient in the order a
-tape with one node per op sums it: a value's loss seed first, then its
-consumers at t+1 through delay-1 edges, then its consumers at t in reverse
-program order, then the +0 a LIF's final-state gradient hands over;
-parameter gradients are summed in reverse time. So the gradients do not
-depend on checkpoint_every.
+phase planes (ops.conv2d_forward), one list per phase slab. In a slab of
+many rows, a value is dropped after its last reader. _reverse walks the
+segments back and replays each earlier segment from its start when it
+reaches it; within a segment (_reverse_segment) it walks the post phase
+over all rows, the stepped slabs back to front, then the pre phase over
+all rows, each phase's program in reverse. It drops each slot's gradient
+and each saved array once their instruction's backward ran.
+
+It sums every gradient in the order a tape with one node per op sums it,
+and so in the order a walk of one step at a time does: a value's loss seed
+first, then its consumers at t+1 through delay-1 edges, then its
+consumers at t in reverse program order, then the +0 a LIF's final-state
+gradient hands over; parameter gradients are summed in reverse time. The
+phases keep that order because they are contiguous in program order and
+post reads no delay-1 source: a value's post consumers come last in the
+program, so their terms, taken over the whole segment, go first after its
+seed, then the stepped consumers' terms, row by row, then the pre ones. A
+phase slab of several steps is stepwise (_backward): a matmul's input
+gradient is one gemv per row (ops.matmul_rows), its weight gradient the
+per-step outer products summed newest first (_ParamGrads.add_steps), a
+conv's kernel gradient per row, and each LIF step but the first the walk
+reaches gets the +0 of the hand-over. So the gradients do not depend on
+checkpoint_every or on the phases.
 
 A run whose parameters, input or initial states are on a tape records one
 graph_run node, whose backward is _reverse, plus one output node per
@@ -122,13 +145,21 @@ class _Instr(NamedTuple):
     operand's slot; reshape, (new tail, old tail); zeros, the tail; matmul,
     the weight's name; conv, (kernel name, stride, padding, input tail);
     lif, the layer's index in _ExecContext.lifs; drop, the slots whose
-    values it drops (_ExecContext.program)."""
+    values it drops (_ExecContext.programs)."""
 
     kind: str
     out: int  # slot written
     src: int  # slot read (add: the left operand)
     aux: object
-    save: int  # index of the array the forward saves for _backward, or -1
+    save: int  # index of the array the forward saves for _backward in its phase's slab, or -1
+
+
+def _reads(instr):
+    """The slots an instruction reads."""
+    kind, _, src, aux, _ = instr
+    if kind is _ZEROS:
+        return ()
+    return (src, aux) if kind is _ADD else (src,)
 
 
 class _ExecContext:
@@ -138,6 +169,10 @@ class _ExecContext:
     holds the previous step's value of its source's slot: prev_slots[j]
     carries prev_src[j]. lifs lists (node id, lif_args, output slot) per LIF
     layer, in program order; cur maps each node id to its output slot.
+
+    The program splits into three phases (_phases): pre, the instructions a
+    segment runs over all its rows before its stepped loop; stepped, run
+    slab by slab; post, run over all its rows after the loop.
     """
 
     def __init__(self, graph):
@@ -170,14 +205,78 @@ class _ExecContext:
                            aux=fix.get(i.aux, i.aux) if i.kind is _ADD else i.aux)
                 for i in self.instrs
             ]
-        self.reversed = self.instrs[::-1]
         # the instruction after which each slot is read no more
         self.last_read = {}
-        for n, (kind, _, src, aux, _) in enumerate(self.instrs):
-            if kind is not _ZEROS:
-                self.last_read[src] = n
-            if kind is _ADD:
-                self.last_read[aux] = n
+        for n, instr in enumerate(self.instrs):
+            for slot in _reads(instr):
+                self.last_read[slot] = n
+        a, b = self.split = self._phases()
+        # each phase numbers the arrays it saves from 0, in instruction order
+        for lo, hi in ((a, b), (b, len(self.instrs))):
+            first = next((i.save for i in self.instrs[lo:hi] if i.save >= 0), 0)
+            if first:
+                self.instrs[lo:hi] = [i._replace(save=i.save - first) if i.save >= 0 else i
+                                      for i in self.instrs[lo:hi]]
+        pre, stepped, post = self.instrs[:a], self.instrs[a:b], self.instrs[b:]
+        self.reversed = (pre[::-1], stepped[::-1], post[::-1])
+        written = {i.out for i in pre} | {0}
+        stepped_reads = {slot for i in stepped for slot in _reads(i)}
+        # the segment values the stepped loop reads row by row, and the slots
+        # whose gradients it hands to the pre phase
+        self.handoff = sorted(written & stepped_reads) if pre else []
+        self.stepped_out = {i.out for i in stepped}
+        self.gathered = sorted(self.stepped_out & {slot for i in post for slot in _reads(i)})
+
+    def _phases(self):
+        """(a, b): the program's first a instructions form the pre phase, its
+        instructions from b on the post phase, and the ones between are
+        stepped. Without a feedback cycle every instruction is stepped.
+        Otherwise the core is every instruction on a cycle (which goes
+        through a delay-1 edge) plus each delay-1 edge's source and readers;
+        pre is the longest run of instructions at the program's start that
+        no core instruction reaches, post the longest run at its end that
+        reaches no core instruction and reads no delay-1 source. Keeping the
+        phases contiguous in program order keeps every slot's gradient
+        terms in the order the reverse walk sums them (see the module
+        docstring)."""
+        n = len(self.instrs)
+        if not self.prev_src:  # every cycle goes through a delay-1 edge
+            return 0, n
+        writer = {i.out: k for k, i in enumerate(self.instrs)}
+        carried = dict(zip(self.prev_slots, self.prev_src))
+        succ = [set() for _ in range(n)]
+        core = set()
+        for k, instr in enumerate(self.instrs):
+            for slot in _reads(instr):
+                if slot in carried:
+                    core.add(k)
+                    slot = carried[slot]
+                    if slot in writer:
+                        core.add(writer[slot])
+                if slot in writer:
+                    succ[writer[slot]].add(k)
+
+        def reach(k):  # the instructions reachable from k by one edge or more
+            seen, todo = set(), list(succ[k])
+            while todo:
+                j = todo.pop()
+                if j not in seen:
+                    seen.add(j)
+                    todo.extend(succ[j])
+            return seen
+
+        reaches = [reach(k) for k in range(n)]
+        if not any(k in reaches[k] for k in range(n)):
+            return 0, n
+        core |= {k for k in range(n) if k in reaches[k]}
+        downstream = core.union(*(reaches[k] for k in core))
+        a = min(downstream)
+        b = 1 + max(k for k in range(n) if k in core or reaches[k] & core)
+        sources = set(self.prev_src)
+        for k in range(b, n):
+            if sources.intersection(_reads(self.instrs[k])):
+                b = k + 1
+        return a, b
 
     def _emit(self, kind, src, aux, saves=0):
         """Appends an instruction; saves is the size, per step and sample, of
@@ -250,16 +349,20 @@ class _ExecContext:
             out[name] = t
         return out
 
-    def program(self, keep):
-        """The instructions, each followed by a drop of the slots it reads
-        last, except the slots in keep, which are read after the slab."""
-        out = []
+    def programs(self, many, keep):
+        """The pre, stepped and post programs. In a phase that runs over many
+        rows, each instruction is followed by a drop of the slots it reads
+        last, except the slots in keep, which are read after the segment;
+        the stepped phase runs over many rows when a slab has `many` steps."""
+        a, b = self.split
+        out = ([], [], [])
         for n, instr in enumerate(self.instrs):
-            out.append(instr)
+            phase = out[(n >= a) + (n >= b)]
+            phase.append(instr)
             slots = [slot for slot, last in self.last_read.items()
                      if last == n and slot not in keep]
-            if slots:
-                out.append(_Instr(_DROP, -1, -1, slots, -1))
+            if slots and (many or phase is not out[1]):
+                phase.append(_Instr(_DROP, -1, -1, slots, -1))
         return out
 
     def sample_bytes(self, steps, rows, k):
@@ -302,9 +405,9 @@ class _ExecContext:
 
 
 def _forward(ctx, params, program, vals, states, saved):
-    """Run program (ctx.instrs, or ctx.program) on one slab of B samples'
-    rows, time-major (row t * B + s). vals holds the input slab in slot 0
-    and the delay-1 values in the prev slots and receives every other value.
+    """Run program (a phase of ctx.programs) on one slab of B samples' rows,
+    time-major (row t * B + s). vals holds the input slab in slot 0 and the
+    delay-1 values in the prev slots and receives every other value.
     states holds each LIF's (U, I, S), [B, ...], and is advanced. With a
     saved list, appends the arrays _backward reads, in instruction order."""
     rows = vals[0].shape[0]
@@ -351,6 +454,10 @@ def _fold(total, name, g):
         total[name] += g
 
 
+# the bytes of per-step weight-gradient products a phase slab makes at once
+_STEP_PRODUCT_BYTES = 2**20
+
+
 class _ParamGrads:
     """The gradients of the differentiated parameters (names) in a run of
     `samples` samples, which the kernels hand over per sample
@@ -360,7 +467,13 @@ class _ParamGrads:
     get the gradients stacked. Given a batch total (name -> sum), a run of
     one slab uses each parameter once, so each sample's gradient is final as
     it arrives: it is added to the total in sample order, and the name
-    leaves sums."""
+    leaves sums.
+
+    Every array handed to add or add_steps is the walk's own: the kernels
+    return a fresh product or np.stack, and add_steps reduces into a fresh
+    array. So the first becomes the running sum and the later ones of its
+    dtype are added to it in place (old + g and g + old have the same
+    bytes)."""
 
     def __init__(self, names, samples, total=None):
         self.sums = dict.fromkeys(names)
@@ -368,30 +481,79 @@ class _ParamGrads:
 
     def add(self, name, per_sample):
         if self.total is None:
-            _add_grad(self.sums, name, per_sample)
+            old = self.sums[name]
+            if old is not None and old.dtype == per_sample.dtype:
+                old += per_sample
+            else:  # the first, or one that widens the sum's dtype
+                _add_grad(self.sums, name, per_sample)
         else:
             del self.sums[name]
             for g in per_sample:
                 _fold(self.total, name, g)
 
+    def add_steps(self, name, chunks, plus_zero):
+        """Adds the per-step gradients of a slab of several steps in reverse
+        time, as add would take them one step at a time. chunks yields them
+        newest first, each a contiguous [steps, samples, ...] array of the
+        caller's own whose first step is its newest. The running sum goes
+        into a chunk's first step and np.add.reduce sums the chunk in order.
+        plus_zero adds +0.0 to the first step when no sum is running, as
+        ops.matmul_backward does to each outer product."""
+        run = self.sums[name] if self.total is None else None
+        for chunk in chunks:
+            if run is not None:
+                if chunk.dtype != run.dtype:
+                    chunk = chunk.astype(np.result_type(chunk, run))
+                chunk[0] += run
+            elif plus_zero:
+                chunk[0] += 0.0
+            run = np.add.reduce(chunk, axis=0)
+        if self.total is None:
+            self.sums[name] = run
+        else:
+            self.add(name, run)
 
-def _backward(ctx, params, gr, saved, sg, acc, rg):
-    """Walk one slab's program in reverse. gr holds each slot's gradient
-    (None where none arrived) and receives the contributions, in the order a
-    tape sums them. Only its own instruction reads a slot's gradient and a
-    saved array, so both are dropped once that instruction's backward ran.
-    sg holds each LIF's (gU, gI, gS) from the next slab, [B, ...] each, and
-    is replaced by its (gU, gI, None) for the slab before. acc, a
-    _ParamGrads, receives the differentiated parameters' gradients."""
+
+def _outer_products(a, g, samples):
+    """The per-step weight gradients of matmul_rows(a, W) for the output
+    gradient g, [steps * samples, ...] each, as chunks of outer products
+    a_t[:, None] * g_t[None] for add_steps, newest step first."""
+    a3 = a.reshape(-1, samples, a.shape[1])[::-1]
+    g3 = g.reshape(-1, samples, g.shape[1])[::-1]
+    per_step = samples * a.shape[1] * g.shape[1] * np.result_type(a, g).itemsize
+    span = max(1, _STEP_PRODUCT_BYTES // per_step)
+    for t in range(0, a3.shape[0], span):
+        yield a3[t : t + span, :, :, None] * g3[t : t + span, :, None, :]
+
+
+def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
+    """Walk one slab's instrs (a phase of ctx.reversed) in reverse program
+    order. gr holds each slot's gradient (None where none arrived) and
+    receives the contributions, in the order a tape sums them. Only its own
+    instruction reads a slot's gradient and a saved array, so both are
+    dropped once that instruction's backward ran. sg holds each LIF's (gU,
+    gI, gS) from the next slab, [B, ...] each, and is replaced by its (gU,
+    gI, None) for the slab before. acc, a _ParamGrads, receives the
+    differentiated parameters' gradients.
+
+    A stepwise slab holds several steps of a step_by_step run: each step's
+    parameter gradients are taken on their own and summed in reverse time,
+    and each LIF hands its steps the +0 that a walk of one step at a time
+    hands them (_lif_backward)."""
     lifs = ctx.lifs
-    for kind, out, src, aux, save in ctx.reversed:
+    for kind, out, src, aux, save in instrs:
         g = gr[out]
         gr[out] = None
         dx = dp = None  # the input's and the parameter's gradient
         if kind is _LIF:
-            dx = _lif_backward(saved[save], g, sg, aux, lifs[aux][1], acc.samples)
+            dx = _lif_backward(saved[save], g, sg, aux, lifs[aux][1], acc.samples, stepwise)
         elif g is None:
             pass
+        elif kind is _MATMUL and stepwise:
+            if rg[src]:
+                dx = ops.matmul_rows(g, params[aux].T)
+            if aux in acc.sums:
+                acc.add_steps(aux, _outer_products(saved[save], g, acc.samples), True)
         elif kind is _MATMUL:
             dx, dp = ops.matmul_backward(saved[save], params[aux], g, rg[src], aux in acc.sums,
                                          acc.samples)
@@ -404,8 +566,14 @@ def _backward(ctx, params, gr, saved, sg, acc, rg):
             dx = g.reshape((g.shape[0],) + aux[1])
         elif kind is _CONV:
             name, stride, padding, in_tail = aux
-            dx, dp = ops.conv2d_backward(g, saved[save], params[name], (g.shape[0],) + in_tail,
-                                         stride, padding, rg[src], name in acc.sums, acc.samples)
+            rows = g.shape[0]
+            dx, dp = ops.conv2d_backward(g, saved[save], params[name], (rows,) + in_tail,
+                                         stride, padding, rg[src], name in acc.sums,
+                                         rows if stepwise else acc.samples)
+            if stepwise and dp is not None:
+                steps = dp.reshape((-1, acc.samples) + dp.shape[1:])[::-1]
+                acc.add_steps(name, [np.ascontiguousarray(steps)], False)
+                dp = None
         if dx is not None and rg[src]:
             _add_grad(gr, src, dx)
         if dp is not None:
@@ -414,22 +582,39 @@ def _backward(ctx, params, gr, saved, sg, acc, rg):
             saved[save] = None
 
 
-def _lif_backward(u_pre, g, sg, k, args, samples):
+def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     """LIF layer k's backward from its U_pre and its output's gradient g
     (None where none arrived), [steps * samples, ...] each; replaces sg[k]
-    and returns the input's gradient, or None."""
+    and returns the input's gradient, or None.
+
+    The final-state nodes of a tape run after the layer's consumers: S_T's
+    gradient lands on the last step, and U_T's or I_T's (the hand-over)
+    adds a +0, so the sweep reaches the scan. A walk of one step at a time
+    hands each step the gU and gI of the step after it, so every step but
+    the first one it reaches gets the +0; a stepwise slab of several steps
+    gives its steps the same."""
     gu, gi, gs = sg[k]
-    # the final-state nodes of a tape run after the layer's consumers:
-    # S_T's gradient lands on the last step, U_T's or I_T's hands the
-    # scan a zero spike-train gradient so the sweep reaches it
+    rows = u_pre.shape[0]
+    if stepwise and rows > samples and gu is not None and gi is not None and gu.dtype != gi.dtype:
+        # the steps before the last get a hand-over of another dtype: walk the last alone
+        last = _lif_backward(u_pre[-samples:], None if g is None else g[-samples:], sg, k, args,
+                             samples)
+        rest = _lif_backward(u_pre[:-samples], None if g is None else g[:-samples], sg, k, args,
+                             samples, True)
+        return np.concatenate([rest, last])
     if gs is not None:
         full = np.zeros(u_pre.shape, dtype=np.result_type(gs, u_pre.dtype))
         full[-samples:] = gs
         g = full if g is None else g + full
     hand = gi if gi is not None else gu
     if hand is not None:
-        zero = np.zeros(u_pre.shape, dtype=np.result_type(hand, u_pre.dtype))
-        g = zero if g is None else g + zero
+        zero = np.zeros((), dtype=np.result_type(hand, u_pre.dtype))
+        g = np.zeros(u_pre.shape, dtype=zero.dtype) if g is None else g + zero
+    elif stepwise and g is not None and gs is None and rows > samples:
+        # the last step is the first the walk reaches: the steps before it get the +0
+        last = g[-samples:]
+        g = g + np.zeros((), dtype=u_pre.dtype)
+        g[-samples:] = last
     if g is None:
         sg[k] = (None, None, None)
         return None
@@ -439,23 +624,49 @@ def _lif_backward(u_pre, g, sg, k, args, samples):
     return gx
 
 
-def _slabs(ctx, params, program, xs, t0, t1, rows, states, prev, saved_slabs=None, traced=()):
-    """The forward over rows [t0, t1) of xs, one slab of `rows` rows at a
-    time, from states and prev (the prev slots' values at t0). Appends each
-    slab's value of each traced (slot, slabs) pair and, with saved_slabs,
-    each slab's saved arrays; returns the prev slots' values for row t1."""
-    for t in range(t0, t1, rows):
-        vals = [None] * ctx.n_slots
-        vals[0] = xs[t : t + rows]
-        for p, v in zip(ctx.prev_slots, prev):
-            vals[p] = v
+def _slabs(ctx, params, programs, xs, t0, t1, rows, states, prev, saved_slabs=None, traced=()):
+    """The forward over the segment of rows [t0, t1) of xs, from states and
+    prev (the prev slots' values at t0): the pre program over all of its
+    rows, the stepped program on one slab of `rows` rows at a time, then
+    the post program over all of its rows. The stepped slabs read the pre
+    phase's values row by row, and the post phase reads the stepped slabs'
+    values gathered into one array. Appends the segment's value of each
+    traced (slot, segments) pair and, with saved_slabs, the pre phase's
+    saved arrays (if it has instructions), each stepped slab's and the post
+    phase's (if it has instructions); returns the prev slots' values for
+    row t1."""
+    pre, stepped, post = programs
+
+    def slab(program, vals):
         saved = None if saved_slabs is None else []
         _forward(ctx, params, program, vals, states, saved)
         if saved is not None:
             saved_slabs.append(saved)
+
+    seg = [None] * ctx.n_slots
+    seg[0] = xs[t0:t1]
+    if pre:
+        slab(pre, seg)
+    gather = {slot: [] for slot in ctx.gathered}
+    gather.update((slot, []) for slot, _ in traced if slot in ctx.stepped_out)
+    reads = [slot for slot in ctx.handoff if slot != 0]
+    for t in range(t0, t1, rows):
+        vals = [None] * ctx.n_slots
+        vals[0] = xs[t : t + rows]
+        for slot in reads:
+            vals[slot] = seg[slot][t - t0 : t - t0 + rows]
+        for p, v in zip(ctx.prev_slots, prev):
+            vals[p] = v
+        slab(stepped, vals)
         prev = [vals[c] for c in ctx.prev_src]
-        for slot, out in traced:
-            out.append(vals[slot])
+        for slot, pieces in gather.items():
+            pieces.append(vals[slot])
+    for slot, pieces in gather.items():
+        seg[slot] = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    if post:
+        slab(post, seg)
+    for slot, out in traced:
+        out.append(seg[slot])
     return prev
 
 
@@ -464,16 +675,18 @@ class _Forward(NamedTuple):
     t * B + s): the records [T * B, ...] by node id, each LIF's final (U,
     I, S), [B, ...] each, and what _reverse reads: the input xs [T * B,
     ...], the rows per slab, the start (row, states, prev) of each segment
-    but the newest, the newest segment's saved arrays by slab (None when
-    not kept) and the program the forward ran."""
+    but the newest, the newest segment's first row, its saved arrays by
+    slab, as _slabs lays them out (None when not kept), and the programs
+    the forward ran."""
 
     records: dict
     states: list
     xs: np.ndarray
     rows: int
     starts: list
+    newest: int
     saved: list | None
-    program: list
+    programs: tuple
 
 
 def _forward_segments(ctx, params, xs, samples, steps, k, init, traced, keep):
@@ -482,15 +695,14 @@ def _forward_segments(ctx, params, xs, samples, steps, k, init, traced, keep):
     [samples, ...] each, `steps` steps a slab, recording the node ids in
     traced. With keep, it splits the run into segments of k steps (one
     segment when k is None), keeps each segment's start and saves the newest
-    segment's arrays. In a slab of many steps, a value is dropped after the
-    last instruction that reads it, unless it is traced or a delay-1
-    source; a slab of one step drops its values when it is done."""
+    segment's arrays. A phase that runs over many rows drops a value after
+    the last instruction that reads it, unless it is the input, traced or a
+    delay-1 source; a stepped slab of one step drops its values when it is
+    done."""
     states = list(init)
-    slabs = {nid: [] for nid in traced}
-    out = [(ctx.cur[nid], slabs[nid]) for nid in traced]
-    program = ctx.instrs
-    if steps > 1:
-        program = ctx.program({slot for slot, _ in out} | set(ctx.prev_src))
+    segments = {nid: [] for nid in traced}
+    out = [(ctx.cur[nid], segments[nid]) for nid in traced]
+    programs = ctx.programs(steps > 1, {0, *ctx.prev_src} | {slot for slot, _ in out})
     rows, t_total = steps * samples, xs.shape[0]
     seg = k * samples if keep and k else None
     t_newest = (t_total // samples - 1) // k * seg if seg else 0
@@ -498,49 +710,119 @@ def _forward_segments(ctx, params, xs, samples, steps, k, init, traced, keep):
     starts = []
     for t0 in range(0, t_newest, seg or 1):
         starts.append((t0, list(states), prev))
-        prev = _slabs(ctx, params, program, xs, t0, t0 + seg, rows, states, prev, None, out)
+        prev = _slabs(ctx, params, programs, xs, t0, t0 + seg, rows, states, prev, None, out)
     saved = [] if keep else None
-    _slabs(ctx, params, program, xs, t_newest, t_total, rows, states, prev, saved, out)
-    records = {nid: s[0] if len(s) == 1 else np.concatenate(s) for nid, s in slabs.items()}
-    return _Forward(records, states, xs, rows, starts, saved, program)
+    _slabs(ctx, params, programs, xs, t_newest, t_total, rows, states, prev, saved, out)
+    records = {nid: s[0] if len(s) == 1 else np.concatenate(s) for nid, s in segments.items()}
+    return _Forward(records, states, xs, rows, starts, t_newest, saved, programs)
 
 
 def _reverse(ctx, params, fwd, saved, seeds, sg, acc, rg):
-    """BPTT over every slab of the forward pass fwd, the last first, from
+    """BPTT over every segment of the forward pass fwd, the last first, from
     saved, the newest segment's saved arrays by slab, which the walk empties
     as it reads them. When the walk reaches a segment before the newest, it
     replays the segment from its start into saved, so a caller that walks
-    again passes a copy of every slab's list. seeds(t) gives slab t's
-    seeded gradient list; sg and acc are _backward's and end as the
-    gradients of each LIF's initial (U, I) and of the parameters. Returns
-    each slab's input gradient (None where none arrived)."""
-    xs, rows, starts = fwd.xs, fwd.rows, fwd.starts
-    n = xs.shape[0] // rows
-    x_grads = [None] * n
-    first = n - len(saved)  # the first slab of the segment in saved
-    earlier = reversed(starts)
-    gr = seeds(n - 1)
-    for t in range(n - 1, -1, -1):
-        if t < first:
-            t0, start_states, prev = next(earlier)
+    again passes a copy of every slab's list. seeds(r0, r1) gives the
+    seeded gradient list of rows [r0, r1); sg and acc are _backward's and
+    end as the gradients of each LIF's initial (U, I) and of the
+    parameters. Returns each stepped slab's input gradient (None where none
+    arrived)."""
+    xs, rows = fwd.xs, fwd.rows
+    bounds = [t0 for t0, _, _ in fwd.starts] + [fwd.newest, xs.shape[0]]
+    x_grads = [None] * (xs.shape[0] // rows)
+    earlier = reversed(fwd.starts)
+    carry = None
+    for r0, r1 in reversed(list(zip(bounds, bounds[1:]))):
+        if r1 < xs.shape[0]:
+            _, start_states, prev = next(earlier)
             saved.clear()
-            _slabs(ctx, params, fwd.program, xs, t0, first * rows, rows, list(start_states), prev,
-                   saved)
-            first = t0 // rows
-        nxt = None
-        if t > 0:
+            _slabs(ctx, params, fwd.programs, xs, r0, r1, rows, list(start_states), prev, saved)
+        carry = _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg,
+                                 x_grads)
+    return x_grads
+
+
+def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg, x_grads):
+    """The reverse walk over the segment of rows [r0, r1), whose arrays are
+    in saved: the post phase over all of its rows, then the stepped slabs,
+    the last first, then the pre phase over all of its rows. carry holds,
+    per prev slot, its source's gradient at the segment's last step: the
+    source's seed plus its delay-1 consumers' gradients at the step after
+    (None for the run's last segment). Writes each stepped slab's input
+    gradient into x_grads and returns the carry for the segment before."""
+    pre, stepped, post = ctx.reversed
+    n = (r1 - r0) // rows
+    slabs = saved[bool(pre) : len(saved) - bool(post)]
+    g = seeds(r0, r1)
+    if post:
+        # post reads no delay-1 source: only the seeds are on those slots
+        _backward(ctx, params, g, saved[-1], sg, acc, rg, post, True)
+    if carry is None:
+        carry = [None if g[c] is None else g[c][-rows:] for c in ctx.prev_src]
+    if r0 > 0 and ctx.prev_src:
+        before = seeds(r0 - rows, r0)
+    # the seeds and the post phase's terms of each stepped or pre slot, by slab
+    terms = [(slot, v) for slot, v in enumerate(g)
+             if v is not None and slot not in ctx.prev_src]
+    handoff = {slot: [] for slot in ctx.handoff}
+    for i in range(n - 1, -1, -1):
+        gr = [None] * ctx.n_slots
+        for slot, v in terms:
+            gr[slot] = v[i * rows : (i + 1) * rows]
+        for c, v in zip(ctx.prev_src, carry):
+            gr[c] = v
+        first = r0 + i * rows == 0
+        if not first:
             # the delay-1 consumers at t add to the source's value at t-1
             # after its seed and before its consumers at t-1
-            nxt = seeds(t - 1)
             for p, c in zip(ctx.prev_slots, ctx.prev_src):
-                gr[p] = nxt[c]
-        _backward(ctx, params, gr, saved[t - first], sg, acc, rg)
-        x_grads[t] = gr[0]
-        if nxt is not None:
-            for p, c in zip(ctx.prev_slots, ctx.prev_src):
-                nxt[c] = gr[p]
-            gr = nxt
-    return x_grads
+                if i == 0:
+                    gr[p] = before[c]
+                elif g[c] is not None:
+                    gr[p] = g[c][(i - 1) * rows : i * rows]
+        _backward(ctx, params, gr, slabs[i], sg, acc, rg, stepped)
+        carry = None if first else [gr[p] for p in ctx.prev_slots]
+        for slot, got in handoff.items():
+            got.append(gr[slot])
+        x_grads[r0 // rows + i] = gr[0]
+    if pre:
+        _pre_backward(ctx, params, g, handoff, saved[0], n, rows, sg, acc, rg, x_grads,
+                      r0 // rows)
+    return carry
+
+
+def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads, at):
+    """The pre phase's reverse walk over a segment of n stepped slabs of
+    `rows` rows, the first of them slab `at` of the run. g holds the pre
+    phase's slots' seeds and post terms over the segment, and handoff, per
+    slot the stepped slabs read, its gradient after each slab's walk, the
+    last slab first. Where every slab's gradient of such a slot arrived, in
+    one dtype, the walk is one stepwise slab over the segment; otherwise (a
+    slot that a delay-1 edge reaches only at steps before the run's end)
+    it walks the segment slab by slab, as the stepped phase does."""
+    pre = ctx.reversed[0]
+    whole = True
+    for slot, got in handoff.items():
+        arrived = [v for v in got if v is not None]
+        if not arrived:
+            g[slot] = None
+        elif len(arrived) == n and len({v.dtype for v in arrived}) == 1:
+            g[slot] = arrived[0] if n == 1 else np.concatenate(arrived[::-1])
+        else:
+            whole = False
+    if whole:
+        _backward(ctx, params, g, saved, sg, acc, rg, pre, True)
+        for i in range(n):
+            x_grads[at + i] = None if g[0] is None else g[0][i * rows : (i + 1) * rows]
+        return
+    for i in range(n - 1, -1, -1):
+        gr = [None if v is None else v[i * rows : (i + 1) * rows] for v in g]
+        for slot, got in handoff.items():
+            gr[slot] = got[n - 1 - i]
+        _backward(ctx, params, gr, [a[i * rows : (i + 1) * rows] for a in saved], sg, acc, rg,
+                  pre)
+        x_grads[at + i] = gr[0]
+    saved.clear()
 
 
 def input_shape(graph):
@@ -721,7 +1003,7 @@ def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
     never a Tensor, so a dropped tape is freed by reference counting. The
     walk empties the saved-array lists it reads, so it walks copies of
     them and can run twice."""
-    traced, rows = list(fwd.records), fwd.rows
+    traced = list(fwd.records)
 
     def bwd(_):
         got = dict(arrived)
@@ -729,10 +1011,10 @@ def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
         recs = [(ctx.cur[nid], got[("rec", nid)]) for nid in reversed(traced)
                 if ("rec", nid) in got]  # a tape sums the records' seeds in reverse
 
-        def seeds(t):
+        def seeds(r0, r1):
             gr = [None] * ctx.n_slots
             for slot, g in recs:
-                _add_grad(gr, slot, g[t * rows : (t + 1) * rows])
+                _add_grad(gr, slot, g[r0:r1])
             return gr
 
         def one_sample(key):  # a final-state seed as the run's [1, ...] state
@@ -833,10 +1115,14 @@ def _loss_and_grad(graph, plan, inputs, init_maps, loss_heads, total, budget=Non
     losses, logits = [], []
     for s0 in range(0, len(xs), micro):
         part = slice(s0, s0 + micro)
-        b = len(xs[part])
-        fwd = _forward_segments(ctx, params, _time_major([x.data for x in xs[part]]), b, steps,
-                                k, _stacked_states([states[part] for states in init]), [out],
-                                True)
+        batch = [x.data for x in xs[part]]
+        # a micro-batch's inputs are let go once it is done: its forward
+        # holds the only reference left
+        xs[part] = [None] * len(batch)
+        b = len(batch)
+        fwd = _forward_segments(ctx, params, _time_major(batch), b, steps, k,
+                                _stacked_states([states[part] for states in init]), [out], True)
+        del batch
         rec = fwd.records[out]
         rec = rec.reshape((-1, b) + rec.shape[1:])
         dlogits = []
@@ -845,17 +1131,19 @@ def _loss_and_grad(graph, plan, inputs, init_maps, loss_heads, total, budget=Non
             loss, dl = head.loss_and_logit_grad(logits[-1])
             losses.append(loss)
             dlogits.append(dl)
-        # on every row of a slab, its sample's logit gradient
-        seed = np.tile(np.stack(dlogits), (steps,) + (1,) * dlogits[0].ndim)
+        # on every row of a segment, its sample's logit gradient
+        seg_steps = k if fwd.starts else fwd.xs.shape[0] // b
+        seed = np.tile(np.stack(dlogits), (seg_steps,) + (1,) * dlogits[0].ndim)
 
-        def seeds(t, seed=seed):
+        def seeds(r0, r1, seed=seed):
             gr = [None] * ctx.n_slots
-            gr[ctx.cur[out]] = seed
+            gr[ctx.cur[out]] = seed[: r1 - r0]
             return gr
 
-        # every slab saves arrays of the same shapes; the longest segment peaks
-        slab_bytes = sum({id(a): a.nbytes for a in fwd.saved[0]}.values())
-        peak_saved_bytes = slab_bytes * (k if fwd.starts else len(fwd.saved))
+        # a segment's saved arrays grow with its steps; the longest segment peaks
+        newest_steps = (fwd.xs.shape[0] - fwd.newest) // b
+        newest_bytes = sum({id(a): a.nbytes for slab in fwd.saved for a in slab}.values())
+        peak_saved_bytes = newest_bytes // newest_steps * (k if fwd.starts else newest_steps)
         one_slab = fwd.rows == fwd.xs.shape[0]
         acc = _ParamGrads(params, b, total if one_slab else None)
         # the walk frees the newest segment's arrays before its first replay
@@ -864,7 +1152,8 @@ def _loss_and_grad(graph, plan, inputs, init_maps, loss_heads, total, budget=Non
         for name, sums in acc.sums.items():  # summed over many slabs, or never reached
             for g in [None] * b if sums is None else sums:
                 _fold(total, name, np.zeros_like(params[name]) if g is None else g)
-    segments = len(fwd.starts) + 1
+        segments = len(fwd.starts) + 1
+        del fwd
     stats = {
         "segments": segments,
         "peak_tape_nodes": 0,

@@ -594,6 +594,12 @@ def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, s
     else:
         a = (1.0 - s_all) - u_pre * sg
     del sg
+    if u_pre.shape[0] == samples:
+        # one step, as step_by_step walks it: the loop below without its
+        # buffer and row views
+        dp = gu * a + b
+        di = dp + gi
+        return di, dp * alpha, di * beta
     # step t's rows of gx are written after b's are read, so gx may take b's place
     gxdt = np.result_type(gdt, gu, gi)
     gx = b if b.dtype == gxdt else np.empty(u_pre.shape, dtype=gxdt)

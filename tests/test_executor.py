@@ -187,9 +187,12 @@ class TestSchedulerEquivalence:
             SpikeCountCELoss(np.array([0.0, 1.0, 0.0])),
         )
         assert made == [] and stats["peak_tape_nodes"] == 0
-        # per step, float64: the input row [1, 4] and the hidden spikes [1, 6]
-        # that two matmuls read, U_pre [1, 6] and [1, 3]; 5 steps a segment
-        assert stats["peak_saved_bytes"] == 5 * (4 + 6 + 6 + 3) * 8
+        # per step, float64: the input row [1, 4], U_pre [1, 6] and [1, 3],
+        # and the hidden spikes [1, 6] twice: the feedback matmul, which is
+        # on the cycle, saves each step's row, and the readout matmul, which
+        # runs after the stepped loop, the segment's gathered copy; 5 steps
+        # a segment
+        assert stats["peak_saved_bytes"] == 5 * (4 + 6 + 3 + 6 + 6) * 8
 
     def test_layer_by_layer_rejects_feedback(self):
         g = sequential_recurrent(
@@ -442,8 +445,11 @@ class TestRunHonoursCheckpointEvery:
         got, tape = taped_run_grads(self.g, ExecutionPlan("step_by_step", checkpoint_every=k),
                                     self.x)
         # the forward runs every step once; the backward replays every step
-        # before the newest segment, whose arrays the forward saved
-        assert len(calls) == self.T + replayed
+        # before the newest segment, whose arrays the forward saved. The
+        # input projection is off the feedback cycle, so each segment's run
+        # and replay adds one call for it, over all of the segment's rows
+        segments = -(-self.T // k)
+        assert len(calls) == self.T + replayed + 2 * segments - 1
         assert tape._tags.count("graph_run") == 1
         assert sorted(got) == sorted(ref)
         for name in ref:
@@ -482,9 +488,11 @@ class TestRunHonoursCheckpointEvery:
         run_with_checkpointing(self.g, ExecutionPlan("step_by_step", checkpoint_every=5),
                                self.x, init_states(self.g),
                                SpikeCountCELoss(np.array([0.0, 1.0, 0.0])))
-        # T = 12, k = 5: the newest segment is steps 10 and 11
-        assert len(alive) == self.T and newest
-        assert all(alive[:2]) and not any(alive[2:]), alive
+        # T = 12, k = 5: the newest segment is steps 10 and 11, walked one
+        # step at a time, then its input projection, which is off the
+        # feedback cycle, over both steps at once; each segment walks so
+        assert len(alive) == self.T + 3 and newest
+        assert all(alive[:3]) and not any(alive[3:]), alive
 
     def test_layer_by_layer_with_checkpoint_every_rejected(self):
         g = mlp(dtype=np.float32)
@@ -555,6 +563,60 @@ class TestDropsConsumedArrays:
         loss_and_grad(self.g, ExecutionPlan("layer_by_layer"), [(self.x, np.eye(3)[1])])
         # two scans and two matmuls read one saved array each, the last first
         assert alive == [4, 3, 2, 1] and left == [0]
+
+    def test_each_micro_batch_lets_go_of_its_inputs(self, monkeypatch):
+        # the run boundary casts the float64 inputs to the graph's float32;
+        # with a budget of one sample, each micro-batch's input is gone
+        # before the next micro-batch's forward starts
+        inputs, alive = [], []
+        check, forward_segments = executor_mod._check_sample, executor_mod._forward_segments
+
+        def spy_check(*args):
+            x = check(*args)
+            inputs.append(weakref.ref(x.data))
+            return x
+
+        def spy_forward(*args):
+            alive.append(sum(ref() is not None for ref in inputs))
+            return forward_segments(*args)
+
+        monkeypatch.setattr(executor_mod, "_check_sample", spy_check)
+        monkeypatch.setattr(executor_mod, "_forward_segments", spy_forward)
+        rng = np.random.default_rng(4)
+        xs = [(rng.random((9, 4)) < 0.5).astype(np.float64) for _ in range(4)]
+        plan = ExecutionPlan("layer_by_layer")
+        budget = executor_mod._ExecContext(self.g).sample_bytes(9, 9, None)
+        executor_mod._loss_and_grad(self.g, plan, xs, [init_states(self.g)] * 4,
+                                    [SpikeCountCELoss(np.eye(3)[i % 3]) for i in range(4)], {},
+                                    budget)
+        assert alive == [4, 3, 2, 1]
+
+
+class TestInPlaceGradientSums:
+    """A run of many slabs adds each parameter's later gradients in place to
+    the first one the walk handed over, which must be the walk's own array:
+    no parameter, input or saved array may share its memory."""
+
+    @pytest.mark.parametrize("k", [None, 4])
+    def test_sums_alias_nothing_the_run_keeps(self, k, monkeypatch):
+        g = recurrent_graph(np.float64)
+        x = np.random.default_rng(6).uniform(0.0, 1.5, (12, 4))
+        params = {name: p.copy() for name, p in g.params.items()}
+        kept = [*g.params.values(), x]
+        forward = executor_mod._forward
+
+        def spy_forward(ctx, p, program, vals, states, saved):
+            forward(ctx, p, program, vals, states, saved)
+            kept.extend(saved or [])
+
+        monkeypatch.setattr(executor_mod, "_forward", spy_forward)
+        _, grads = loss_and_grad(g, ExecutionPlan("step_by_step", checkpoint_every=k),
+                                 [(x, np.eye(3)[1])])
+        assert len(kept) > 2
+        for name, grad in grads.items():
+            assert not any(np.shares_memory(grad, a) for a in kept), name
+        for name, p in params.items():
+            assert np.array_equal(g.params[name], p), name
 
 
 class TestTrace:

@@ -13,10 +13,13 @@ an empty diff means both compute the same bytes:
 
 The graphs have the benchmark's shapes (an MLP, a CNN and a recurrent net
 with a delay-1 feedback weight), plus a CNN whose convs have stride 2 and
-padding 1, built here, in float32 and float64. Each graph gets records for
-step_by_step on a full tape, layer_by_layer where the graph allows it,
-run_with_checkpointing at k = 7, 10 and T, a taped run whose input, initial
-states and final state are taped as well, and the parameters after an Adam
+padding 1 and a recurrent net whose program has all three phases (two
+feedback cycles in series, layers before and after them), built here, in
+float32 and float64. Each graph gets records for step_by_step on a full
+tape, layer_by_layer where the graph allows it, run_with_checkpointing at
+k = 7, 10 and T (1, 3 and T for the phases graph), a taped run whose
+input, initial states and final state are taped as well, and the
+parameters after an Adam
 epoch over four samples, once in batches of 2 and 2 and once in batches of
 3 and 1. train differentiates a batch in micro-batches of as many samples
 as training.MICRO_BATCH_BYTES allows, so where the budget holds several
@@ -99,6 +102,27 @@ def rsnn(dtype):
     ), 100
 
 
+def phases(dtype):
+    # two feedback cycles in series (node 2 with its delay-1 weight node 3,
+    # node 5 with node 6) and a linear layer between them; an input layer
+    # (node 1) into the first feedback weight, which the loss reaches only
+    # through its delay-1 edge; a second input layer (node 8) that bypasses
+    # both cycles into the read-out. The program runs nodes 0 and 1 over a
+    # whole segment before its stepped loop and the read-out after it.
+    return graph_build(
+        [linear_layer(32, in_features=16), linear_layer(32, in_features=16), lif_layer(32),
+         linear_layer(32), linear_layer(24), lif_layer(24), linear_layer(24),
+         linear_layer(CLASSES), linear_layer(CLASSES, in_features=16), lif_layer(CLASSES)],
+        [(0, 2, 0), (2, 3, 0), (1, 3, 0), (3, 2, 1), (2, 4, 0), (4, 5, 0), (5, 6, 0),
+         (6, 5, 1), (5, 7, 0), (7, 9, 0), (8, 9, 0)],
+        input_nodes=[0, 1, 8], output_nodes=[9], input_shape=(16,), seed=3, dtype=dtype,
+    ), 30
+
+
+# checkpoint_every values per graph besides T
+CHECKPOINTS = {"phases": (1, 3)}
+
+
 def digest(loss, arrays):
     h = hashlib.sha256(np.float64(loss).tobytes())
     for name in sorted(arrays):
@@ -155,7 +179,7 @@ def full_tape(graph, plan, x, target, mode):
 
 def records(failures):
     """Yields (name, digest) per record; appends each failed check to failures."""
-    for build in (mlp, cnn, cnn_stride2, rsnn):
+    for build in (mlp, cnn, cnn_stride2, rsnn, phases):
         for dtype in (np.float32, np.float64):
             graph, steps = build(dtype)
             tag = f"{build.__name__}.{np.dtype(dtype).name}"
@@ -175,7 +199,7 @@ def records(failures):
                         failures.append(f"{name}: loss_and_grad differs from a full tape")
                     loss, grads = taped_run(graph, ExecutionPlan(sched), x, target, mode)
                     yield f"{tag}.{sched}.taped_input_states.sample{i}", digest(loss, grads)
-                for k in (7, 10, steps):
+                for k in (*CHECKPOINTS.get(build.__name__, (7, 10)), steps):
                     loss, grads, _ = executor.run_with_checkpointing(
                         graph, ExecutionPlan("step_by_step", checkpoint_every=k), x,
                         executor.init_states(graph, mode=mode, seed=5),

@@ -75,10 +75,11 @@ graph_run node, whose backward is _reverse, plus one output node per
 [T, ...] record and per final U, I and S. run_with_checkpointing and
 training differentiate a loss head's loss with no tape (_loss_and_grad).
 All of them share one boundary (_open_run): each input must be a finite
-[T, *input_shape(graph)] array, and an untaped one is cast to graph.dtype,
-so a graph computes in its own precision end to end. Initial states must
-cover every LIF node with its shape and graph.dtype, and the plan must suit
-the graph and T.
+[T, *input_shape(graph)] array, and an untaped one is cast to graph.dtype.
+Initial states and parameters must have their shapes and graph.dtype, and
+the plan must suit the graph and T. graph_run_out casts the gradient the
+tape hands it to graph.dtype, and _loss_and_grad a loss head's logit
+gradient, so graph.dtype is the one precision inside a run.
 """
 
 from __future__ import annotations
@@ -337,7 +338,7 @@ class _ExecContext:
 
     def param_arrays(self, params):
         """The program's parameters from params (name -> Tensor or array) as
-        Tensors, each checked against the shape the graph gives it."""
+        Tensors, each checked against the shape and dtype the graph gives it."""
         out = {}
         for name in sorted(self.param_shapes):
             if name not in params:
@@ -346,6 +347,9 @@ class _ExecContext:
             if t.shape != self.param_shapes[name]:
                 raise ShapeError(f"parameter {name} has shape {t.shape}, the graph needs "
                                  f"{self.param_shapes[name]}")
+            if t.dtype != self.graph.dtype:
+                raise ValidationError(f"parameter {name} has dtype {t.dtype}, the graph "
+                                      f"computes in {self.graph.dtype}")
             out[name] = t
         return out
 
@@ -471,9 +475,8 @@ class _ParamGrads:
 
     Every array handed to add or add_steps is the walk's own: the kernels
     return a fresh product or np.stack, and add_steps reduces into a fresh
-    array. So the first becomes the running sum and the later ones of its
-    dtype are added to it in place (old + g and g + old have the same
-    bytes)."""
+    array. So the first becomes the running sum and the later ones are
+    added to it in place (old + g and g + old have the same bytes)."""
 
     def __init__(self, names, samples, total=None):
         self.sums = dict.fromkeys(names)
@@ -481,11 +484,10 @@ class _ParamGrads:
 
     def add(self, name, per_sample):
         if self.total is None:
-            old = self.sums[name]
-            if old is not None and old.dtype == per_sample.dtype:
-                old += per_sample
-            else:  # the first, or one that widens the sum's dtype
-                _add_grad(self.sums, name, per_sample)
+            if self.sums[name] is None:
+                self.sums[name] = per_sample
+            else:
+                self.sums[name] += per_sample
         else:
             del self.sums[name]
             for g in per_sample:
@@ -502,8 +504,6 @@ class _ParamGrads:
         run = self.sums[name] if self.total is None else None
         for chunk in chunks:
             if run is not None:
-                if chunk.dtype != run.dtype:
-                    chunk = chunk.astype(np.result_type(chunk, run))
                 chunk[0] += run
             elif plus_zero:
                 chunk[0] += 0.0
@@ -520,7 +520,7 @@ def _outer_products(a, g, samples):
     a_t[:, None] * g_t[None] for add_steps, newest step first."""
     a3 = a.reshape(-1, samples, a.shape[1])[::-1]
     g3 = g.reshape(-1, samples, g.shape[1])[::-1]
-    per_step = samples * a.shape[1] * g.shape[1] * np.result_type(a, g).itemsize
+    per_step = samples * a.shape[1] * g.shape[1] * a.itemsize
     span = max(1, _STEP_PRODUCT_BYTES // per_step)
     for t in range(0, a3.shape[0], span):
         yield a3[t : t + span, :, :, None] * g3[t : t + span, :, None, :]
@@ -594,26 +594,16 @@ def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     the first one it reaches gets the +0; a stepwise slab of several steps
     gives its steps the same."""
     gu, gi, gs = sg[k]
-    rows = u_pre.shape[0]
-    if stepwise and rows > samples and gu is not None and gi is not None and gu.dtype != gi.dtype:
-        # the steps before the last get a hand-over of another dtype: walk the last alone
-        last = _lif_backward(u_pre[-samples:], None if g is None else g[-samples:], sg, k, args,
-                             samples)
-        rest = _lif_backward(u_pre[:-samples], None if g is None else g[:-samples], sg, k, args,
-                             samples, True)
-        return np.concatenate([rest, last])
     if gs is not None:
-        full = np.zeros(u_pre.shape, dtype=np.result_type(gs, u_pre.dtype))
+        full = np.zeros_like(u_pre)
         full[-samples:] = gs
         g = full if g is None else g + full
-    hand = gi if gi is not None else gu
-    if hand is not None:
-        zero = np.zeros((), dtype=np.result_type(hand, u_pre.dtype))
-        g = np.zeros(u_pre.shape, dtype=zero.dtype) if g is None else g + zero
-    elif stepwise and g is not None and gs is None and rows > samples:
+    if gu is not None or gi is not None:
+        g = np.zeros_like(u_pre) if g is None else g + 0.0
+    elif stepwise and g is not None and gs is None and u_pre.shape[0] > samples:
         # the last step is the first the walk reaches: the steps before it get the +0
         last = g[-samples:]
-        g = g + np.zeros((), dtype=u_pre.dtype)
+        g = g + 0.0
         g[-samples:] = last
     if g is None:
         sg[k] = (None, None, None)
@@ -796,17 +786,17 @@ def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads,
     `rows` rows, the first of them slab `at` of the run. g holds the pre
     phase's slots' seeds and post terms over the segment, and handoff, per
     slot the stepped slabs read, its gradient after each slab's walk, the
-    last slab first. Where every slab's gradient of such a slot arrived, in
-    one dtype, the walk is one stepwise slab over the segment; otherwise (a
-    slot that a delay-1 edge reaches only at steps before the run's end)
-    it walks the segment slab by slab, as the stepped phase does."""
+    last slab first. Where every slab's gradient of such a slot arrived,
+    the walk is one stepwise slab over the segment; otherwise (a slot that
+    a delay-1 edge reaches only at steps before the run's end) it walks the
+    segment slab by slab, as the stepped phase does."""
     pre = ctx.reversed[0]
     whole = True
     for slot, got in handoff.items():
         arrived = [v for v in got if v is not None]
         if not arrived:
             g[slot] = None
-        elif len(arrived) == n and len({v.dtype for v in arrived}) == 1:
+        elif len(arrived) == n:
             g[slot] = arrived[0] if n == 1 else np.concatenate(arrived[::-1])
         else:
             whole = False
@@ -971,7 +961,7 @@ def _record_run(tape, ctx, pdata, tensors, x, init, fwd, states):
     def output(key, data):
         t = Tensor(data)
         t.tape = tape
-        t.node_id = tape.record("graph_run_out", [run_id], _hand_over(arrived, key),
+        t.node_id = tape.record("graph_run_out", [run_id], _hand_over(arrived, key, data.dtype),
                                 data.shape, data.dtype)
         return t
 
@@ -987,13 +977,14 @@ def _record_run(tape, ctx, pdata, tensors, x, init, fwd, states):
     return seq_t, final
 
 
-def _hand_over(arrived, key):
-    # The first output node the sweep reaches hands graph_run a zero
-    # gradient, so the sweep reaches graph_run; the others add nothing.
+def _hand_over(arrived, key, dtype):
+    # Each output's gradient enters the walk cast to the run's dtype. The
+    # first output node the sweep reaches hands graph_run a zero gradient,
+    # so the sweep reaches graph_run; the others add nothing.
     def bwd(g):
         first = not arrived
-        arrived[key] = g
-        return [np.zeros((), dtype=g.dtype) if first else None]
+        arrived[key] = g.astype(dtype, copy=False)
+        return [np.zeros((), dtype=dtype) if first else None]
 
     return bwd
 
@@ -1129,6 +1120,9 @@ def _loss_and_grad(graph, plan, inputs, init_maps, loss_heads, total, budget=Non
         for s, head in enumerate(loss_heads[part]):
             logits.append(np.sum(np.ascontiguousarray(rec[:, s]), axis=0))
             loss, dl = head.loss_and_logit_grad(logits[-1])
+            dl = np.asarray(dl, dtype=ctx.graph.dtype)
+            if dl.shape != logits[-1].shape:
+                raise ShapeError(f"logit gradient shape {dl.shape} != logits {logits[-1].shape}")
             losses.append(loss)
             dlogits.append(dl)
         # on every row of a segment, its sample's logit gradient

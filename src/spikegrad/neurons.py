@@ -13,10 +13,11 @@ lif_scan runs the recurrence over every row of its input as a single fused
 tape node with a hand-written BPTT backward (ops.lif_scan). Its forward and
 backward are the ndarray kernels ops.lif_scan_forward and
 ops.lif_scan_backward, which the executor's node program calls for every
-LIF layer, over all T rows in layer_by_layer and over one row per step in
-step_by_step and checkpointing. lif_step and lif_smooth_step record every
-op of one step on the tape; they are the per-step reference that lif_scan
-and the executor are tested against.
+LIF layer, over all T steps in layer_by_layer and, in step_by_step, over
+one step in the stepped phase (executor._ExecContext._phases) and over a
+segment's steps in the phases before and after it.
+lif_step and lif_smooth_step record every op of one step on the tape; they
+are the per-step reference that lif_scan and the executor are tested against.
 """
 
 from __future__ import annotations

@@ -184,21 +184,24 @@ def test_criterion_7_layer_by_layer_forward_not_slower():
     g = two_block_mlp(256, 64, 256, seed=0, dtype=np.float32)
     batch = [gen_random_spikes(64, 100, 0.2, seed=i) for i in range(8)]
 
-    def forward_median(plan):
-        def once():
-            for x in batch:
-                run(g, plan, x, init_states(g))
+    plans = {"step": ExecutionPlan("step_by_step"), "layer": ExecutionPlan("layer_by_layer")}
 
-        once()  # warmup, discarded
-        times = []
-        for _ in range(10):
-            t0 = time.perf_counter()
-            once()
-            times.append((time.perf_counter() - t0) * 1000.0)
-        return statistics.median(times)
+    def once(plan):
+        t0 = time.perf_counter()
+        for x in batch:
+            run(g, plan, x, init_states(g))
+        return (time.perf_counter() - t0) * 1000.0
 
-    step_ms = forward_median(ExecutionPlan("step_by_step"))
-    layer_ms = forward_median(ExecutionPlan("layer_by_layer"))
+    for plan in plans.values():
+        once(plan)  # warmup, discarded
+    # the schedulers' repeats alternate, each going first in turn, so a
+    # change in the machine's speed during the test reaches both alike
+    times = {name: [] for name in plans}
+    for rep in range(10):
+        for name in sorted(plans, reverse=rep % 2 == 1):
+            times[name].append(once(plans[name]))
+    step_ms = statistics.median(times["step"])
+    layer_ms = statistics.median(times["layer"])
     report(7, "layer_by_layer forward median <= step_by_step",
            layer_ms <= step_ms, f"{layer_ms:.2f} ms <= {step_ms:.2f} ms")
 

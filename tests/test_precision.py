@@ -1,10 +1,12 @@
 """The run boundary and the precision contract.
 
 run and run_with_checkpointing take a finite [T, *input_shape] input, cast an
-untaped one to graph.dtype and reject initial states of another dtype, so a
-graph computes in its own dtype end to end: every tape node, output, state,
-gradient, parameter and Adam moment has graph.dtype, even when the input is
-float64 generator output.
+untaped one to graph.dtype and reject initial states and parameters of
+another dtype, so a graph computes in its own dtype end to end: every tape
+node, output, state, gradient, parameter and Adam moment has graph.dtype,
+even when the input is float64 generator output. The gradients that enter
+a run's reverse walk (tape seeds, a loss head's logit gradient) are cast to
+graph.dtype, so float64 seeds on a float32 graph compute in float32.
 """
 
 import numpy as np
@@ -200,6 +202,46 @@ class TestInputBoundary:
         with pytest.raises(ValidationError, match="missing parameter"):
             run(g, SBS, x, init_states(g), params=missing)
 
+    @pytest.mark.parametrize("entry", ["run", "run_taped", "run_with_checkpointing",
+                                       "loss_and_grad", "train"])
+    @pytest.mark.parametrize("dtype, other", [(np.float32, np.float64), (np.float64, np.float32)],
+                             ids=["f64_into_f32", "f32_into_f64"])
+    def test_parameter_of_other_dtype_rejected(self, entry, dtype, other):
+        # a cast would hide a caller's precision mix, and computing in the
+        # parameter's dtype would break the graph's precision
+        g = recurrent_net(dtype)
+        x = spikes(g, 4, 0)
+        for name in sorted(g.params):
+            bad = dict(g.params)
+            bad[name] = bad[name].astype(other)
+            with pytest.raises(ValidationError, match=f"parameter {name} has dtype"):
+                if entry == "run":
+                    run(g, SBS, x, init_states(g), params=bad)
+                elif entry == "run_taped":
+                    tape = Tape()
+                    run(g, SBS, x, init_states(g),
+                        params={n: tape.leaf(v) for n, v in bad.items()})
+                elif entry == "run_with_checkpointing":
+                    run_with_checkpointing(g.copy_with_params(bad),
+                                           ExecutionPlan(checkpoint_every=2), x, init_states(g),
+                                           SpikeCountCELoss(TARGET))
+                elif entry == "loss_and_grad":
+                    loss_and_grad(g.copy_with_params(bad), SBS, [(x, TARGET)])
+                else:
+                    train(g.copy_with_params(bad), [(x, TARGET)],
+                          TrainConfig(epochs=1, batch_size=1, plan=SBS))
+
+    def test_logit_gradient_of_other_shape_rejected(self):
+        # a head's one-value gradient would broadcast over every class
+        class OneValue:
+            def loss_and_logit_grad(self, logits):
+                return 0.0, np.ones(1, dtype=logits.dtype)
+
+        g = recurrent_net(np.float32)
+        with pytest.raises(ShapeError, match="logit gradient"):
+            run_with_checkpointing(g, ExecutionPlan(checkpoint_every=2), spikes(g, 4, 0),
+                                   init_states(g), OneValue())
+
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=["f32", "f64"])
 class TestDtypeContract:
@@ -283,6 +325,61 @@ class TestDtypeContract:
         assert state["t"] == 2
         for arrays in (params, state["m"], state["v"]):
             assert_arrays_dtype(arrays.values(), dtype)
+
+
+def taped_gradients(g, plan, x, seed_dtype):
+    """Every leaf's gradient of a taped run (parameters, input, initial U
+    and I), seeded on the loss and on the first LIF layer's final U with
+    float32 values given in seed_dtype."""
+    tape = Tape()
+    leaves = [tape.leaf(g.params[n]) for n in sorted(g.params)]
+    xt = tape.leaf(x.data.astype(g.dtype))
+    states = {}
+    for nid, st in init_states(g, mode="uniform", seed=1).items():
+        states[nid] = NeuronState(U=tape.leaf(st.U.data), I=tape.leaf(st.I.data), S=st.S)
+        leaves += [states[nid].U, states[nid].I]
+    final, rec = run(g, plan, xt, states, params=dict(zip(sorted(g.params), leaves)))
+    loss = SpikeCountCELoss(TARGET).loss_tensor(rec)
+    u = final[g.stateful_nodes()[0]].U
+    u_seed = np.linspace(-1.0, 1.0, u.size, dtype=np.float32).reshape(u.shape)
+    grads = tape.grads_from_seeds({loss.node_id: np.ones((), dtype=seed_dtype),
+                                   u.node_id: u_seed.astype(seed_dtype)})
+    return [grads[t.node_id] for t in [xt, *leaves]]
+
+
+class TestGradientsEnterInRunDtype:
+    """A float32 graph's reverse walk computes in float32 whatever the dtype
+    of the gradients handed to it."""
+
+    @pytest.mark.parametrize("make, plan", [
+        (conv_net, LBL), (conv_net, SBS), (recurrent_net, SBS),
+        (recurrent_net, ExecutionPlan(checkpoint_every=3)),
+    ], ids=["conv-lbl", "conv-sbs", "rec-sbs", "rec-sbs-k3"])
+    def test_float64_seeds(self, make, plan):
+        # np.ones(()) is float64: the natural seed of a loss
+        g = make(np.float32)
+        x = spikes(g, 7, 6)
+        got = taped_gradients(g, plan, x, np.float64)
+        want = taped_gradients(g, plan, x, np.float32)
+        assert_arrays_dtype(got, np.float32)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_float64_logit_gradient(self, k):
+        class Float64Head(SpikeCountCELoss):
+            def loss_and_logit_grad(self, logits):
+                loss, dl = super().loss_and_logit_grad(logits)
+                return loss, dl.astype(np.float64)
+
+        g = recurrent_net(np.float32)
+        x = spikes(g, 6, 7)
+        plan = ExecutionPlan(checkpoint_every=k)
+        _, got, _ = run_with_checkpointing(g, plan, x, init_states(g), Float64Head(TARGET))
+        _, want, _ = run_with_checkpointing(g, plan, x, init_states(g), SpikeCountCELoss(TARGET))
+        assert_arrays_dtype(got.values(), np.float32)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_float64_optimizer_step_unchanged_by_casts():

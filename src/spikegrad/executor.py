@@ -585,7 +585,9 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
 def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     """LIF layer k's backward from its U_pre and its output's gradient g
     (None where none arrived), [steps * samples, ...] each; replaces sg[k]
-    and returns the input's gradient, or None.
+    and returns the input's gradient, or None. In a one-step slab of the
+    stepped phase, u_pre is the step's rows of the surrogate factors (sg, a)
+    that _reverse_segment evaluated over the segment (ops.lif_factors).
 
     The final-state nodes of a tape run after the layer's consumers: S_T's
     gradient lands on the last step, and U_T's or I_T's (the hand-over)
@@ -593,6 +595,9 @@ def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     hands each step the gU and gI of the step after it, so every step but
     the first one it reaches gets the +0; a stepwise slab of several steps
     gives its steps the same."""
+    factors = u_pre if isinstance(u_pre, tuple) else None
+    if factors:
+        u_pre = factors[0]  # its shape and dtype
     gu, gi, gs = sg[k]
     if gs is not None:
         full = np.zeros_like(u_pre)
@@ -608,8 +613,12 @@ def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     if g is None:
         sg[k] = (None, None, None)
         return None
-    gx, gu, gi = ops.lif_scan_backward(u_pre, g, 0.0 if gu is None else gu,
-                                       0.0 if gi is None else gi, *args, samples=samples)
+    gu = 0.0 if gu is None else gu
+    gi = 0.0 if gi is None else gi
+    if factors:
+        gx, gu, gi = ops.lif_step_backward(*factors, g, gu, gi, *args[:2])
+    else:
+        gx, gu, gi = ops.lif_scan_backward(u_pre, g, gu, gi, *args, samples=samples)
     sg[k] = (gu, gi, None)
     return gx
 
@@ -755,6 +764,8 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
     terms = [(slot, v) for slot, v in enumerate(g)
              if v is not None and slot not in ctx.prev_src]
     handoff = {slot: [] for slot in ctx.handoff}
+    if rows == acc.samples:
+        _stepped_factors(ctx, slabs)
     for i in range(n - 1, -1, -1):
         gr = [None] * ctx.n_slots
         for slot, v in terms:
@@ -779,6 +790,19 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
         _pre_backward(ctx, params, g, handoff, saved[0], n, rows, sg, acc, rg, x_grads,
                       r0 // rows)
     return carry
+
+
+def _stepped_factors(ctx, slabs):
+    """Replaces each stepped LIF's U_pre in the one-step slabs' saved arrays
+    by the step's rows of its surrogate factors (ops.lif_factors), evaluated
+    once over the segment's U_pre rows."""
+    for kind, _, _, k, save in ctx.reversed[1]:
+        if kind is _LIF:
+            u_pre = np.concatenate([slab[save] for slab in slabs])
+            sg, a = ops.lif_factors(u_pre, u_pre.dtype, *ctx.lifs[k][1][2:])
+            rows = len(u_pre) // len(slabs)
+            for i, slab in enumerate(slabs):
+                slab[save] = (sg[i * rows : (i + 1) * rows], a[i * rows : (i + 1) * rows])
 
 
 def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads, at):

@@ -570,38 +570,18 @@ def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, s
     gradients gu, gi [B, ...] on U_T, I_T (a Python 0.0 for an unseeded one,
     which takes the other operand's dtype, as the zero array it stands
     for). Returns the gradients of (x, in U_pre's shape, U_0, I_0);
-    evaluates the surrogate once over U_pre."""
-    gdt = np.result_type(g, u_pre.dtype)
-    d = u_pre - thr
-    if sharpness is None:
-        sg = surrogate(d).astype(gdt, copy=False)
-    else:
-        sg = surrogate.primitive_grad(d, sharpness).astype(gdt, copy=False)
-    if not subtract:
-        if sharpness is None:
-            s_all = (u_pre >= thr).astype(gdt)
-        else:
-            s_all = surrogate.primitive(d, sharpness).astype(gdt, copy=False)
-    del d
-    # dL/dU_pre[t] = gU[t] * a[t] + b[t], where gU[t] is the gradient on the
-    # post-reset U[t]: b is the spike-train term through the surrogate, a
-    # the reset's direct path plus its path through S[t]
-    b = g * sg
-    if subtract:
-        # 1 - thr * sg, computed over sg (a new array), which is then spent
-        a = np.multiply(sg, thr, out=sg)
-        np.subtract(1.0, a, out=a)
-    else:
-        a = (1.0 - s_all) - u_pre * sg
-    del sg
+    evaluates the surrogate once over U_pre (lif_factors)."""
+    sg, a = lif_factors(u_pre, np.result_type(g, u_pre.dtype), thr, surrogate, subtract,
+                        sharpness)
     if u_pre.shape[0] == samples:
         # one step, as step_by_step walks it: the loop below without its
         # buffer and row views
-        dp = gu * a + b
-        di = dp + gi
-        return di, dp * alpha, di * beta
+        return lif_step_backward(sg, a, g, gu, gi, alpha, beta)
+    # b = g * sg over sg, which is then spent
+    b = np.multiply(g, sg, out=sg)
+    del sg
     # step t's rows of gx are written after b's are read, so gx may take b's place
-    gxdt = np.result_type(gdt, gu, gi)
+    gxdt = np.result_type(b, gu, gi)
     gx = b if b.dtype == gxdt else np.empty(u_pre.shape, dtype=gxdt)
     for r in range(u_pre.shape[0] - samples, -1, -samples):
         step = slice(r, r + samples)
@@ -610,6 +590,40 @@ def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, s
         gu = dp * alpha
         gi = di * beta
     return gx, gu, gi
+
+
+def lif_factors(u_pre, dtype, thr, surrogate, subtract, sharpness):
+    """The surrogate factors (sg, a), in dtype and U_pre's shape, of
+    lif_scan_backward's adjoint: dL/dU_pre[t] = gU[t] * a[t] + g[t] * sg[t],
+    where gU[t] is the gradient on the post-reset U[t] and g[t] on the spike
+    train. sg is the surrogate's slope at U_pre - thr, a the reset's direct
+    path plus its path through S[t]."""
+    d = u_pre - thr
+    if sharpness is None:
+        sg = surrogate._over(d).astype(dtype, copy=False)
+        if not subtract:
+            s_all = (u_pre >= thr).astype(dtype)
+    else:
+        sg = surrogate.primitive_grad(d, sharpness).astype(dtype, copy=False)
+        if not subtract:
+            s_all = surrogate.primitive(d, sharpness).astype(dtype, copy=False)
+    del d
+    if subtract:
+        a = np.multiply(sg, thr)
+        np.subtract(1.0, a, out=a)
+    else:
+        a = (1.0 - s_all) - u_pre * sg
+    return sg, a
+
+
+def lif_step_backward(sg, a, g, gu, gi, alpha, beta):
+    """One step of lif_scan_backward's adjoint from the step's factors
+    (lif_factors), its spike-train gradient g and the gradients gu, gi on
+    its post-reset U and its I; returns the gradients of (its input, the
+    previous U, the previous I)."""
+    dp = gu * a + g * sg
+    di = dp + gi
+    return di, dp * alpha, di * beta
 
 
 def lif_args(params, sharpness=None):

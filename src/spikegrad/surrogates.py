@@ -18,8 +18,16 @@ from .tensor import ValidationError
 SURROGATE_TAGS = ("superspike", "sigmoid_derivative", "piecewise_linear", "arctan")
 
 
-def _superspike(x, slope):
-    return 1.0 / (slope * np.abs(x) + 1.0) ** 2
+def _superspike(x, slope, out=None):
+    # with out, a float array of x's shape (x itself too), the same ufuncs
+    # run in place there in the same order, so the bytes are the same
+    if out is None:
+        return 1.0 / (slope * np.abs(x) + 1.0) ** 2
+    np.abs(x, out=out)
+    out *= slope
+    out += 1.0
+    np.square(out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def _superspike_primitive(x, s):
@@ -117,6 +125,13 @@ class SurrogateFn:
     def __call__(self, x):
         """Backward-pass multiplier at membrane distance x = u - thr."""
         return _TABLE[self.tag][0](np.asarray(x), self.slope)
+
+    def _over(self, d):
+        """self(d) for a float array d that the caller gives up: superspike
+        is evaluated in place over d, the others as self(d) evaluates them."""
+        if self.tag == "superspike":
+            return _superspike(d, self.slope, out=d)
+        return self(d)
 
     def primitive(self, x, sharpness):
         """Smooth step used by the gradient-check twin network."""

@@ -2,6 +2,7 @@
 and the fused scan against unrolled steps."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -314,6 +315,25 @@ class TestLifScan:
                                  params())
         assert spikes.tape is None and final.U.tape is None
         assert spikes.shape == (5, 3)
+
+    @pytest.mark.parametrize("reset, arrays", [("subtract", 2), ("to_zero", 4)])
+    def test_backward_evaluates_superspike_in_place(self, reset, arrays):
+        # mlp_lbl's second LIF layer at B = 4: T * B = 400 rows of 256. The
+        # superspike surrogate is evaluated over U_pre - thr in place, so the
+        # backward's peak holds `arrays` arrays of U_pre's size besides a
+        # little; evaluated out of place, it held one more
+        rng = np.random.default_rng(0)
+        u_pre = rng.uniform(-1.0, 2.0, (400, 256)).astype(np.float32)
+        g = rng.standard_normal((400, 256)).astype(np.float32)
+        args = ops.lif_args(params(reset=reset))
+        tracemalloc.start()
+        try:
+            gx, _, _ = ops.lif_scan_backward(u_pre, g, 0.0, 0.0, *args, samples=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gx.dtype == np.float32
+        assert peak < (arrays + 0.5) * u_pre.nbytes
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -29,10 +29,10 @@ A run carries B samples of one shape along a sample axis: every slot holds
 and each LIF state is [B, ...]. The row kernels (one gemv per row in
 matmul_rows, per-row tap products in conv2d_forward) see B times the rows
 and compute each row's bytes as before; a LIF layer scans the slab's steps
-over rows of B samples. What sums over the rows of a layer_by_layer slab
-(the weight and kernel gradients, g @ W.T) is taken per sample, with the
-operand dimensions of a one-sample run, so every sample's results have the
-bytes of its own run. run and run_with_checkpointing run one sample
+over rows of B samples. What sums over the rows of a slab (the weight and
+kernel gradients, g @ W.T) is taken per sample, with the operand
+dimensions of a one-sample run, so every sample's results have the bytes
+of its own run. run and run_with_checkpointing run one sample
 (B = 1); training stacks equal-shape samples into micro-batches
 (_loss_and_grad), B of them as its byte budget allows
 (_ExecContext.sample_bytes).
@@ -54,21 +54,28 @@ over all rows, the stepped slabs back to front, then the pre phase over
 all rows, each phase's program in reverse. It drops each slot's gradient
 and each saved array once their instruction's backward ran.
 
-It sums every gradient in the order a tape with one node per op sums it,
-and so in the order a walk of one step at a time does: a value's loss seed
-first, then its consumers at t+1 through delay-1 edges, then its
-consumers at t in reverse program order, then the +0 a LIF's final-state
-gradient hands over; parameter gradients are summed in reverse time. The
-phases keep that order because they are contiguous in program order and
-post reads no delay-1 source: a value's post consumers come last in the
-program, so their terms, taken over the whole segment, go first after its
-seed, then the stepped consumers' terms, row by row, then the pre ones. A
-phase slab of several steps is stepwise (_backward): a matmul's input
-gradient is one gemv per row (ops.matmul_rows), its weight gradient the
-per-step outer products summed newest first (_ParamGrads.add_steps), a
-conv's kernel gradient per row, and each LIF step but the first the walk
-reaches gets the +0 of the hand-over. So the gradients do not depend on
-checkpoint_every or on the phases.
+It sums every gradient but a step_by_step weight gradient in the order a
+walk of one step at a time sums it: a value's loss seed first, then its
+consumers at t+1 through delay-1 edges, then its consumers at t in
+reverse program order, then the +0 a LIF's final-state gradient hands
+over. The phases keep that order because they are contiguous in program
+order and post reads no delay-1 source: a value's post consumers come
+last in the program, so their terms, taken over the whole segment, go
+first after its seed, then the stepped consumers' terms, row by row, then
+the pre ones. A phase slab of several steps is stepwise (_backward): a
+matmul's input gradient is one gemv per row (ops.matmul_rows), a conv's
+kernel gradient is taken per row and summed in reverse time, and each LIF
+step but the first the walk reaches gets the +0 of the hand-over. A
+step_by_step walk takes a matmul's weight gradient in blocks of
+_GRAD_BLOCK = 16 steps counted from step 0 (_ParamGrads): it keeps each
+step's input and output-gradient rows, turns a block into one product per
+sample when it leaves the block, and adds the blocks newest first; an open
+block's rows carry across segments and replays. Each stepped LIF layer's
+surrogate factors are evaluated once over a segment's rows
+(ops.lif_factors). So the gradients' bytes depend neither on
+checkpoint_every, nor on the phases, nor on the micro-batch size, and a
+taped run has the bytes of the tape-free driver; a tape with one node per
+op sums in other orders and agrees to rounding.
 
 A run whose parameters, input or initial states are on a tape records one
 graph_run node, whose backward is _reverse, plus one output node per
@@ -375,9 +382,14 @@ class _ExecContext:
         arrays of its longest segment, plus its per-sample parameter
         gradients. A run of many slabs sums each parameter's over the slabs,
         so it keeps them all; a run of one slab hands each to the batch total
-        as it arrives, so it keeps the largest."""
+        as it arrives, so it keeps the largest. A run of one-step slabs also
+        keeps, per matmul, _GRAD_BLOCK steps of its input and output-gradient
+        rows for its weight gradient (_ParamGrads.add_rows)."""
         sizes = [math.prod(shape) for shape in self.param_shapes.values()]
         grads = max(sizes, default=0) if rows == steps else sum(sizes)
+        if rows == 1:
+            grads += _GRAD_BLOCK * sum(sum(self.param_shapes[i.aux]) for i in self.instrs
+                                       if i.kind is _MATMUL)
         kept_steps = steps if k is None else min(k, steps)
         return (sum(self.saved_sizes) * kept_steps + grads) * np.dtype(self.graph.dtype).itemsize
 
@@ -458,29 +470,39 @@ def _fold(total, name, g):
         total[name] += g
 
 
-# the bytes of per-step weight-gradient products a phase slab makes at once
-_STEP_PRODUCT_BYTES = 2**20
+# a step_by_step weight gradient of a matmul is one product per sample for
+# each block of this many steps, counted from step 0 (_ParamGrads.add_rows)
+_GRAD_BLOCK = 16
 
 
 class _ParamGrads:
     """The gradients of the differentiated parameters (names) in a run of
-    `samples` samples, which the kernels hand over per sample
-    (ops._per_sample). Without a batch total, sums holds each one's running
-    per-sample sum over the slabs, [samples, ...] (None until one arrives);
-    the runs that walk many slabs have one sample or one step a slab, and
-    get the gradients stacked. Given a batch total (name -> sum), a run of
-    one slab uses each parameter once, so each sample's gradient is final as
-    it arrives: it is added to the total in sample order, and the name
-    leaves sums.
+    `samples` samples, which the walk hands over per sample. Without a
+    batch total, sums holds each one's running per-sample sum over the
+    slabs, [samples, ...] (None until one arrives). Given a batch total
+    (name -> sum), a run of one slab uses each parameter once, so each
+    sample's gradient is final as it arrives: it is added to the total in
+    sample order, and the name leaves sums.
+
+    A walk of one-step slabs (step_by_step) hands over a matmul's weight
+    gradient as rows (add_rows): each step's input row and output-gradient
+    row. They are kept per block of _GRAD_BLOCK steps, [16j, 16j + 16), and
+    when the walk leaves a block (or at finish) the block becomes one
+    product per sample, np.matmul of contiguous copies [samples, n, K] @
+    [samples, K, m] over its K steps that got a gradient, in time order.
+    The products are added newest block first. An open block's rows carry
+    across segments and replays, so the bytes depend neither on
+    checkpoint_every, nor on the phases, nor on the samples per run.
 
     Every array handed to add or add_steps is the walk's own: the kernels
-    return a fresh product or np.stack, and add_steps reduces into a fresh
+    and the block products are fresh, and add_steps reduces into a fresh
     array. So the first becomes the running sum and the later ones are
     added to it in place (old + g and g + old have the same bytes)."""
 
     def __init__(self, names, samples, total=None):
         self.sums = dict.fromkeys(names)
         self.samples, self.total = samples, total
+        self.blocks = {}  # name -> [open block, rows kept, input rows, gradient rows]
 
     def add(self, name, per_sample):
         if self.total is None:
@@ -493,40 +515,64 @@ class _ParamGrads:
             for g in per_sample:
                 _fold(self.total, name, g)
 
-    def add_steps(self, name, chunks, plus_zero):
-        """Adds the per-step gradients of a slab of several steps in reverse
-        time, as add would take them one step at a time. chunks yields them
-        newest first, each a contiguous [steps, samples, ...] array of the
-        caller's own whose first step is its newest. The running sum goes
-        into a chunk's first step and np.add.reduce sums the chunk in order.
-        plus_zero adds +0.0 to the first step when no sum is running, as
-        ops.matmul_backward does to each outer product."""
+    def add_steps(self, name, steps):
+        """Adds the per-step gradients of a slab in reverse time, as add
+        would take them one step at a time: steps, a contiguous [steps,
+        samples, ...] array of the caller's own, holds them newest first.
+        The running sum goes into the first step and np.add.reduce sums the
+        steps in order."""
         run = self.sums[name] if self.total is None else None
-        for chunk in chunks:
-            if run is not None:
-                chunk[0] += run
-            elif plus_zero:
-                chunk[0] += 0.0
-            run = np.add.reduce(chunk, axis=0)
+        if run is not None:
+            steps[0] += run
+        run = np.add.reduce(steps, axis=0)
         if self.total is None:
             self.sums[name] = run
         else:
             self.add(name, run)
 
+    def add_rows(self, name, t1, a, g):
+        """Keeps the rows of steps [t1 - steps, t1) of a matmul's input a
+        and output gradient g, [steps * samples, ...] each, in their
+        blocks, newest first; a block is closed when a step before it
+        arrives."""
+        per = self.samples
+        held = self.blocks.get(name)
+        if held is None:
+            held = self.blocks[name] = [None, 0, np.empty((_GRAD_BLOCK * per, a.shape[1]), a.dtype),
+                                        np.empty((_GRAD_BLOCK * per, g.shape[1]), g.dtype)]
+        t0 = t1 - len(a) // per
+        while t1 > t0:
+            block = (t1 - 1) // _GRAD_BLOCK
+            if held[0] != block:
+                self._close(name)
+                held[0] = block
+            lo = max(t0, block * _GRAD_BLOCK)
+            # a block's rows fill its buffers from the end, so they end in time order
+            end, n = (_GRAD_BLOCK - held[1]) * per, (t1 - lo) * per
+            rows = slice((lo - t0) * per, (t1 - t0) * per)
+            held[2][end - n : end] = a[rows]
+            held[3][end - n : end] = g[rows]
+            held[1] += t1 - lo
+            t1 = lo
 
-def _outer_products(a, g, samples):
-    """The per-step weight gradients of matmul_rows(a, W) for the output
-    gradient g, [steps * samples, ...] each, as chunks of outer products
-    a_t[:, None] * g_t[None] for add_steps, newest step first."""
-    a3 = a.reshape(-1, samples, a.shape[1])[::-1]
-    g3 = g.reshape(-1, samples, g.shape[1])[::-1]
-    per_step = samples * a.shape[1] * g.shape[1] * a.itemsize
-    span = max(1, _STEP_PRODUCT_BYTES // per_step)
-    for t in range(0, a3.shape[0], span):
-        yield a3[t : t + span, :, :, None] * g3[t : t + span, :, None, :]
+    def _close(self, name):
+        held = self.blocks[name]
+        kept = held[1]
+        if kept:
+            a, g = (rows[-kept * self.samples :].reshape(kept, self.samples, -1)
+                    for rows in held[2:])
+            held[1] = 0
+            self.add(name, np.matmul(np.ascontiguousarray(a.transpose(1, 2, 0)),
+                                     np.ascontiguousarray(g.transpose(1, 0, 2))))
+
+    def finish(self):
+        """Closes every open block, once the walk is done."""
+        for name in self.blocks:
+            self._close(name)
+        self.blocks.clear()
 
 
-def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
+def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
     """Walk one slab's instrs (a phase of ctx.reversed) in reverse program
     order. gr holds each slot's gradient (None where none arrived) and
     receives the contributions, in the order a tape sums them. Only its own
@@ -536,11 +582,13 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
     gI, None) for the slab before. acc, a _ParamGrads, receives the
     differentiated parameters' gradients.
 
-    A stepwise slab holds several steps of a step_by_step run: each step's
-    parameter gradients are taken on their own and summed in reverse time,
-    and each LIF hands its steps the +0 that a walk of one step at a time
-    hands them (_lif_backward)."""
+    In a step_by_step walk, t1 is the step after the slab's last, and the
+    slab is stepwise: a matmul hands acc its weight gradient's rows
+    (_ParamGrads.add_rows), a conv its kernel gradient per step, summed in
+    reverse time, and each LIF hands its steps the +0 that a walk of one
+    step at a time hands them (_lif_backward)."""
     lifs = ctx.lifs
+    stepwise = t1 is not None
     for kind, out, src, aux, save in instrs:
         g = gr[out]
         gr[out] = None
@@ -553,7 +601,7 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
             if rg[src]:
                 dx = ops.matmul_rows(g, params[aux].T)
             if aux in acc.sums:
-                acc.add_steps(aux, _outer_products(saved[save], g, acc.samples), True)
+                acc.add_rows(aux, t1, saved[save], g)
         elif kind is _MATMUL:
             dx, dp = ops.matmul_backward(saved[save], params[aux], g, rg[src], aux in acc.sums,
                                          acc.samples)
@@ -572,7 +620,7 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, stepwise=False):
                                          rows if stepwise else acc.samples)
             if stepwise and dp is not None:
                 steps = dp.reshape((-1, acc.samples) + dp.shape[1:])[::-1]
-                acc.add_steps(name, [np.ascontiguousarray(steps)], False)
+                acc.add_steps(name, np.ascontiguousarray(steps))
                 dp = None
         if dx is not None and rg[src]:
             _add_grad(gr, src, dx)
@@ -724,8 +772,8 @@ def _reverse(ctx, params, fwd, saved, seeds, sg, acc, rg):
     again passes a copy of every slab's list. seeds(r0, r1) gives the
     seeded gradient list of rows [r0, r1); sg and acc are _backward's and
     end as the gradients of each LIF's initial (U, I) and of the
-    parameters. Returns each stepped slab's input gradient (None where none
-    arrived)."""
+    parameters; acc's open weight-gradient blocks are closed at the end.
+    Returns each stepped slab's input gradient (None where none arrived)."""
     xs, rows = fwd.xs, fwd.rows
     bounds = [t0 for t0, _, _ in fwd.starts] + [fwd.newest, xs.shape[0]]
     x_grads = [None] * (xs.shape[0] // rows)
@@ -738,6 +786,7 @@ def _reverse(ctx, params, fwd, saved, seeds, sg, acc, rg):
             _slabs(ctx, params, fwd.programs, xs, r0, r1, rows, list(start_states), prev, saved)
         carry = _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg,
                                  x_grads)
+    acc.finish()
     return x_grads
 
 
@@ -748,14 +797,19 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
     per prev slot, its source's gradient at the segment's last step: the
     source's seed plus its delay-1 consumers' gradients at the step after
     (None for the run's last segment). Writes each stepped slab's input
-    gradient into x_grads and returns the carry for the segment before."""
+    gradient into x_grads and returns the carry for the segment before.
+
+    Where the slabs are one step (step_by_step), each slab's _backward gets
+    its step, so that acc keeps the matmuls' weight-gradient rows in their
+    blocks, and each stepped LIF's surrogate factors are evaluated over the
+    segment's U_pre rows before the slabs are walked (_stepped_factors)."""
     pre, stepped, post = ctx.reversed
     n = (r1 - r0) // rows
     slabs = saved[bool(pre) : len(saved) - bool(post)]
     g = seeds(r0, r1)
     if post:
         # post reads no delay-1 source: only the seeds are on those slots
-        _backward(ctx, params, g, saved[-1], sg, acc, rg, post, True)
+        _backward(ctx, params, g, saved[-1], sg, acc, rg, post, r1 // rows)
     if carry is None:
         carry = [None if g[c] is None else g[c][-rows:] for c in ctx.prev_src]
     if r0 > 0 and ctx.prev_src:
@@ -764,7 +818,8 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
     terms = [(slot, v) for slot, v in enumerate(g)
              if v is not None and slot not in ctx.prev_src]
     handoff = {slot: [] for slot in ctx.handoff}
-    if rows == acc.samples:
+    one_step = rows == acc.samples
+    if one_step:
         _stepped_factors(ctx, slabs)
     for i in range(n - 1, -1, -1):
         gr = [None] * ctx.n_slots
@@ -781,7 +836,8 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
                     gr[p] = before[c]
                 elif g[c] is not None:
                     gr[p] = g[c][(i - 1) * rows : i * rows]
-        _backward(ctx, params, gr, slabs[i], sg, acc, rg, stepped)
+        _backward(ctx, params, gr, slabs[i], sg, acc, rg, stepped,
+                  r0 // rows + i + 1 if one_step else None)
         carry = None if first else [gr[p] for p in ctx.prev_slots]
         for slot, got in handoff.items():
             got.append(gr[slot])
@@ -825,7 +881,7 @@ def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads,
         else:
             whole = False
     if whole:
-        _backward(ctx, params, g, saved, sg, acc, rg, pre, True)
+        _backward(ctx, params, g, saved, sg, acc, rg, pre, at + n)
         for i in range(n):
             x_grads[at + i] = None if g[0] is None else g[0][i * rows : (i + 1) * rows]
         return
@@ -834,7 +890,7 @@ def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads,
         for slot, got in handoff.items():
             gr[slot] = got[n - 1 - i]
         _backward(ctx, params, gr, [a[i * rows : (i + 1) * rows] for a in saved], sg, acc, rg,
-                  pre)
+                  pre, at + i + 1)
         x_grads[at + i] = gr[0]
     saved.clear()
 
@@ -1080,13 +1136,14 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     every checkpoint_every steps and the newest segment's saved arrays; the
     reverse walk replays each earlier segment from its start when it
     reaches it, after freeing the later segment's arrays, so one segment's
-    arrays are alive at a time. The result is bit-identical to a full-tape
-    run.
+    arrays are alive at a time. The result has the bytes of a run without
+    checkpoint_every and of a taped run.
 
     Returns (loss, gradients by parameter name, stats dict). The stats hold
     the segment count, the boundary arrays kept, peak_saved_bytes (the
-    largest segment's saved arrays), the summed output logits, and
-    peak_tape_nodes, which is 0.
+    largest segment's saved arrays; the weight-gradient rows the walk
+    carries, _ExecContext.sample_bytes, are not in it), the summed output
+    logits, and peak_tape_nodes, which is 0.
     """
     if plan.checkpoint_every is None:
         raise ValidationError("run_with_checkpointing requires plan.checkpoint_every")

@@ -14,8 +14,11 @@ tape node with a hand-written BPTT backward (ops.lif_scan). Its forward and
 backward are the ndarray kernels ops.lif_scan_forward and
 ops.lif_scan_backward, which the executor's node program calls for every
 LIF layer, over all T steps in layer_by_layer and, in step_by_step, over
-one step in the stepped phase (executor._ExecContext._phases) and over a
-segment's steps in the phases before and after it.
+a segment's steps in the phases before and after the stepped one
+(executor._ExecContext._phases). In the stepped phase the forward runs
+one step at a time, and the backward evaluates lif_scan_backward's
+surrogate factors once over a segment (ops.lif_factors) and then takes
+one step at a time (ops.lif_step_backward).
 lif_step and lif_smooth_step record every op of one step on the tape; they
 are the per-step reference that lif_scan and the executor are tested against.
 """

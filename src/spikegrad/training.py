@@ -98,8 +98,9 @@ def spike_count_ce_loss(record, target):
 
 # The bytes that one micro-batch of a training step may keep for its
 # reverse walk: the arrays its forward saves plus its per-sample parameter
-# gradients, as _ExecContext.sample_bytes counts them from the program's
-# shapes, T and dtype. 3 MiB holds 4 samples of the benchmark's float32 MLP
+# gradients (and, in step_by_step, the weight-gradient rows it carries), as
+# _ExecContext.sample_bytes counts them from the program's shapes, T and
+# dtype. 3 MiB holds 4 samples of the benchmark's float32 MLP
 # (T = 100: 439 KB saved and its 256 x 256 weight's gradient per sample)
 # and 1 of its CNN (T = 25: 1.82 MB saved).
 MICRO_BATCH_BYTES = 3 * 2**20

@@ -2,16 +2,20 @@
 
 import weakref
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_program import TOLERANCE, per_op_step_by_step, summing_magnitudes
 
 import spikegrad.executor as executor_mod
+import spikegrad.training as training_mod
 from spikegrad.executor import (
     ExecutionPlan,
     PlanError,
+    SpikeRecord,
     init_states,
     run,
     run_with_checkpointing,
@@ -617,6 +621,153 @@ class TestInPlaceGradientSums:
             assert not any(np.shares_memory(grad, a) for a in kept), name
         for name, p in params.items():
             assert np.array_equal(g.params[name], p), name
+
+
+def block_graph(dtype):
+    """A recurrent graph with all three phases: two input layers (nodes 0
+    and 1) run over whole segments, a LIF layer (2) with a delay-1 feedback
+    weight (3) is stepped, and node 1 feeds the feedback weight too; the
+    read-out (4, 5) runs after the stepped loop. The loss reaches nodes 1
+    and 3 only through the delay-1 edge, so at the last step their weights
+    get no gradient."""
+    return graph_build(
+        [linear_layer(5, in_features=3), linear_layer(5, in_features=3), lif_layer(5),
+         linear_layer(5), linear_layer(4), lif_layer(4)],
+        [(0, 2, 0), (2, 3, 0), (3, 2, 1), (1, 3, 0), (2, 4, 0), (4, 5, 0)],
+        input_nodes=[0, 1], output_nodes=[5], input_shape=(3,), seed=2, dtype=dtype,
+    )
+
+
+class TestWeightGradientBlocks:
+    """A step_by_step walk takes each matmul's weight gradient as one
+    product per block of 16 steps, carried across segments, so the bytes
+    depend neither on checkpoint_every nor on the micro-batch size. T = 53
+    spans three full blocks and a partial one, [48, 53), in which the
+    weights of nodes 1 and 3 get no gradient at step 52."""
+
+    T = 53
+
+    def batch(self, dtype):
+        rng = np.random.default_rng(9)
+        return [(rng.uniform(0.0, 2.0, (self.T, 3)).astype(dtype), np.eye(4)[i])
+                for i in range(3)]
+
+    @staticmethod
+    def states(graph):
+        return init_states(graph, mode="uniform", seed=3)
+
+    def unsegmented(self, graph, x, target):
+        grads = {}
+        (loss,), _, _ = executor_mod._loss_and_grad(
+            graph, ExecutionPlan("step_by_step"), [x], [self.states(graph)],
+            [SpikeCountCELoss(target)], grads)
+        return loss, grads
+
+    def taped(self, graph, plan, x, target):
+        tape = Tape()
+        params = {n: tape.leaf(graph.params[n]) for n in sorted(graph.params)}
+        _, rec = run(graph, plan, x, self.states(graph), params=params)
+        loss = SpikeCountCELoss(target).loss_tensor(rec)
+        grads = tape.grads_from_seeds({loss.node_id: np.ones((), dtype=graph.dtype)})
+        return float(loss.data), {n: grads[t.node_id] for n, t in params.items()}
+
+    @staticmethod
+    def assert_same_bytes(got, want, label):
+        assert got[0] == want[0], label
+        assert sorted(got[1]) == sorted(want[1]), label
+        for name, g in want[1].items():
+            assert got[1][name].dtype == g.dtype, (label, name)
+            assert got[1][name].tobytes() == g.tobytes(), (label, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 7, 16, 19, 53])
+    def test_bytes_independent_of_segments_tape_and_micro_batches(self, dtype, k):
+        g, batch = block_graph(dtype), self.batch(dtype)
+        plan = ExecutionPlan("step_by_step", checkpoint_every=k)
+        refs = [self.unsegmented(g, x, target) for x, target in batch]
+        for s, ((x, target), ref) in enumerate(zip(batch, refs)):
+            loss, grads, _ = run_with_checkpointing(g, plan, x, self.states(g),
+                                                    SpikeCountCELoss(target))
+            self.assert_same_bytes((loss, grads), ref, ("checkpointed", s))
+            self.assert_same_bytes(self.taped(g, plan, x, target), ref, ("taped", s))
+        # the batch mean of the samples' gradients, summed in sample order
+        total = {name: g.copy() for name, g in refs[0][1].items()}
+        for _, grads in refs[1:]:
+            for name in total:
+                total[name] += grads[name]
+        want = (sum(loss for loss, _ in refs) / 3, {n: v / 3 for n, v in total.items()})
+        per_sample = executor_mod._ExecContext(g).sample_bytes(self.T, 1, k)
+        for micro in (1, 3):
+            with mock.patch.object(training_mod, "MICRO_BATCH_BYTES", micro * per_sample):
+                got = loss_and_grad(g, plan, batch, init_mode="uniform", init_seed=3)
+            self.assert_same_bytes(got, want, ("micro-batch", micro))
+
+    def test_a_block_misses_the_steps_that_get_no_gradient(self, monkeypatch):
+        g = block_graph(np.float64)
+        steps = {}
+        add_rows = executor_mod._ParamGrads.add_rows
+
+        def spy(acc, name, t1, a, g_rows):
+            steps.setdefault(name, []).extend(range(t1 - len(a) // acc.samples, t1))
+            return add_rows(acc, name, t1, a, g_rows)
+
+        monkeypatch.setattr(executor_mod._ParamGrads, "add_rows", spy)
+        x, target = self.batch(np.float64)[0]
+        run_with_checkpointing(g, ExecutionPlan("step_by_step", checkpoint_every=19), x,
+                               self.states(g), SpikeCountCELoss(target))
+        for name in ("node0.weight", "node4.weight"):
+            assert sorted(steps[name]) == list(range(self.T)), name
+        for name in ("node1.weight", "node3.weight"):
+            assert sorted(steps[name]) == list(range(self.T - 1)), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_against_the_per_op_reference(self, dtype):
+        g = block_graph(dtype)
+        x, target = self.batch(dtype)[0]
+        head = SpikeCountCELoss(target)
+        tape = Tape()
+        params = {n: tape.leaf(g.params[n]) for n in sorted(g.params)}
+        _, records = per_op_step_by_step(g, Tensor(x), self.states(g), params)
+        ref = head.loss_tensor(SpikeRecord(outputs=records, steps=self.T))
+        seed = {ref.node_id: np.ones((), dtype=g.dtype)}
+        want = tape.grads_from_seeds(seed)
+        with summing_magnitudes(tape):
+            terms = tape.grads_from_seeds(seed)
+        for k in (1, 7, 16, 19, 53):
+            loss, got, _ = run_with_checkpointing(
+                g, ExecutionPlan("step_by_step", checkpoint_every=k), x, self.states(g), head)
+            assert abs(loss - float(ref.data)) <= TOLERANCE[g.dtype] * max(abs(loss), 1.0)
+            for name, leaf in params.items():
+                bound = TOLERANCE[g.dtype] * terms[leaf.node_id]
+                assert np.all(np.abs(got[name] - want[leaf.node_id]) <= bound), (k, name)
+
+    def test_sample_bytes_count_the_carried_rows(self, monkeypatch):
+        g = block_graph(np.float32)
+        ctx = executor_mod._ExecContext(g)
+        # per step and sample, the saved matmul inputs (3, 3, 5, 5) and
+        # U_pre (5, 4); the four weights' per-sample gradients; and 16 steps
+        # of each matmul's input and output-gradient rows: (3 + 5) twice,
+        # 5 + 5 and 5 + 4
+        saved, grads, carried = 3 + 3 + 5 + 5 + 5 + 4, 15 + 15 + 25 + 20, 16 * (8 + 8 + 10 + 9)
+        assert ctx.sample_bytes(self.T, 1, 7) == (7 * saved + grads + carried) * 4
+        assert ctx.sample_bytes(self.T, 1, None) == (self.T * saved + grads + carried) * 4
+        # a walk of one step holds one slab: the largest gradient, and the carry
+        assert ctx.sample_bytes(1, 1, None) == (saved + 25 + carried) * 4
+        # the walk's carried rows are what sample_bytes counts
+        held = []
+        finish = executor_mod._ParamGrads.finish
+
+        def spy(acc):
+            held.append(sum(r.nbytes for rows in acc.blocks.values() for r in rows[2:])
+                        // acc.samples)
+            finish(acc)
+
+        monkeypatch.setattr(executor_mod._ParamGrads, "finish", spy)
+        with mock.patch.object(training_mod, "MICRO_BATCH_BYTES",
+                               3 * ctx.sample_bytes(self.T, 1, 7)):
+            loss_and_grad(g, ExecutionPlan("step_by_step", checkpoint_every=7),
+                          self.batch(np.float32))
+        assert held == [carried * 4]
 
 
 class TestTrace:

@@ -40,9 +40,10 @@ import os
 import sys
 from pathlib import Path
 
-# one BLAS thread, so a many-row product sums in one fixed order
+# one BLAS thread unless the environment sets the count, so a many-row
+# product sums in one fixed order; CI also runs the self-checks at two
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402

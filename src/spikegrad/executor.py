@@ -630,12 +630,13 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
             saved[save] = None
 
 
-def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
-    """LIF layer k's backward from its U_pre and its output's gradient g
-    (None where none arrived), [steps * samples, ...] each; replaces sg[k]
-    and returns the input's gradient, or None. In a one-step slab of the
-    stepped phase, u_pre is the step's rows of the surrogate factors (sg, a)
-    that _reverse_segment evaluated over the segment (ops.lif_factors).
+def _lif_backward(saved, g, sg, k, args, samples, stepwise=False):
+    """LIF layer k's backward from what its forward saved, its U_pre, and
+    its output's gradient g (None where none arrived), [steps * samples,
+    ...] each; replaces sg[k] and returns the input's gradient, or None. In
+    a one-step slab of the stepped phase, saved is the step's rows of the
+    surrogate factors (sg, a) that _reverse_segment evaluated over the
+    segment (ops.lif_factors).
 
     The final-state nodes of a tape run after the layer's consumers: S_T's
     gradient lands on the last step, and U_T's or I_T's (the hand-over)
@@ -643,9 +644,8 @@ def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     hands each step the gU and gI of the step after it, so every step but
     the first one it reaches gets the +0; a stepwise slab of several steps
     gives its steps the same."""
-    factors = u_pre if isinstance(u_pre, tuple) else None
-    if factors:
-        u_pre = factors[0]  # its shape and dtype
+    factors = isinstance(saved, tuple)
+    u_pre = saved[0] if factors else saved  # or an array of its shape and dtype
     gu, gi, gs = sg[k]
     if gs is not None:
         full = np.zeros_like(u_pre)
@@ -664,7 +664,7 @@ def _lif_backward(u_pre, g, sg, k, args, samples, stepwise=False):
     gu = 0.0 if gu is None else gu
     gi = 0.0 if gi is None else gi
     if factors:
-        gx, gu, gi = ops.lif_step_backward(*factors, g, gu, gi, *args[:2])
+        gx, gu, gi = ops.lif_step_backward(*saved, g, gu, gi, *args[:2])
     else:
         gx, gu, gi = ops.lif_scan_backward(u_pre, g, gu, gi, *args, samples=samples)
     sg[k] = (gu, gi, None)

@@ -57,25 +57,27 @@ and each saved array once their instruction's backward ran.
 It sums every gradient but a step_by_step weight gradient in the order a
 walk of one step at a time sums it: a value's loss seed first, then its
 consumers at t+1 through delay-1 edges, then its consumers at t in
-reverse program order, then the +0 a LIF's final-state gradient hands
-over. The phases keep that order because they are contiguous in program
-order and post reads no delay-1 source: a value's post consumers come
-last in the program, so their terms, taken over the whole segment, go
-first after its seed, then the stepped consumers' terms, row by row, then
-the pre ones. A phase slab of several steps is stepwise (_backward): a
-matmul's input gradient is one gemv per row (ops.matmul_rows), a conv's
-kernel gradient is taken per row and summed in reverse time, and each LIF
-step but the first the walk reaches gets the +0 of the hand-over. A
-step_by_step walk takes a matmul's weight gradient in blocks of
-_GRAD_BLOCK = 16 steps counted from step 0 (_ParamGrads): it keeps each
-step's input and output-gradient rows, turns a block into one product per
-sample when it leaves the block, and adds the blocks newest first; an open
-block's rows carry across segments and replays. Each stepped LIF layer's
-surrogate factors are evaluated once over a segment's rows
-(ops.lif_factors). So the gradients' bytes depend neither on
+reverse program order. The phases keep that order because they are
+contiguous in program order and post reads no delay-1 source: a value's
+post consumers come last in the program, so their terms, taken over the
+whole segment, go first after its seed, then the stepped consumers'
+terms, row by row, then the pre ones. A phase slab of several steps is
+stepwise (_backward): a matmul's input gradient is one gemv per row
+(ops.matmul_rows), and a conv's kernel gradient is taken per row and
+added step by step in reverse time. The kernels hand each parameter's
+gradient over per sample, [B, ...], and the walk keeps each parameter's
+running per-sample sum (_ParamGrads). A step_by_step walk takes a
+matmul's weight gradient in blocks of _GRAD_BLOCK = 16 steps counted
+from step 0: it keeps each step's input and output-gradient rows, turns
+a block into one product per sample when it leaves the block, and adds
+the blocks newest first; an open block's rows carry across segments and
+replays. Each stepped LIF layer's surrogate factors are evaluated once
+over a segment's rows (ops.lif_factors), and a LIF's final-state
+gradients start its reverse scan as they are, on every path. So the
+gradients' bytes, signed zeros included, depend neither on
 checkpoint_every, nor on the phases, nor on the micro-batch size, and a
-taped run has the bytes of the tape-free driver; a tape with one node per
-op sums in other orders and agrees to rounding.
+taped run has the bytes of the tape-free driver; a tape with one node
+per op sums in other orders and agrees to rounding.
 
 A run whose parameters, input or initial states are on a tape records one
 graph_run node, whose backward is _reverse, plus one output node per
@@ -380,13 +382,10 @@ class _ExecContext:
         """The bytes per sample that a tape-free run of `steps` steps, `rows`
         a slab and segments of k steps keeps for its reverse walk: the saved
         arrays of its longest segment, plus its per-sample parameter
-        gradients. A run of many slabs sums each parameter's over the slabs,
-        so it keeps them all; a run of one slab hands each to the batch total
-        as it arrives, so it keeps the largest. A run of one-step slabs also
-        keeps, per matmul, _GRAD_BLOCK steps of its input and output-gradient
-        rows for its weight gradient (_ParamGrads.add_rows)."""
-        sizes = [math.prod(shape) for shape in self.param_shapes.values()]
-        grads = max(sizes, default=0) if rows == steps else sum(sizes)
+        gradients (_ParamGrads). A run of one-step slabs also keeps, per
+        matmul, _GRAD_BLOCK steps of its input and output-gradient rows for
+        its weight gradient (_ParamGrads.add_rows)."""
+        grads = sum(math.prod(shape) for shape in self.param_shapes.values())
         if rows == 1:
             grads += _GRAD_BLOCK * sum(sum(self.param_shapes[i.aux]) for i in self.instrs
                                        if i.kind is _MATMUL)
@@ -460,14 +459,21 @@ def _add_grad(gr, slot, g):
     gr[slot] = g if old is None else old + g
 
 
-def _fold(total, name, g):
-    """Adds one sample's gradient g, an array of the caller's own, to
-    total[name]: the first becomes the total, the later ones are added in
-    place, which gives the bytes of a loop that sums the samples' arrays."""
-    if total.get(name) is None:
-        total[name] = g
-    else:
-        total[name] += g
+def _fold(total, acc, params):
+    """Adds each sample's gradient of each parameter, from a walk's
+    per-sample sums (acc, a _ParamGrads), to total (name -> sum) in sample
+    order; a parameter no gradient reached adds zeros. The first becomes
+    the total, copied when the walk ran several samples, so that the total
+    holds on to none of their [samples, ...] sums, and the later ones are
+    added in place, which gives the bytes of a loop that sums the samples'
+    arrays."""
+    for name, sums in acc.sums.items():
+        for g in [None] * acc.samples if sums is None else sums:
+            g = np.zeros_like(params[name]) if g is None else g
+            if total.get(name) is None:
+                total[name] = g if acc.samples == 1 else g.copy()
+            else:
+                total[name] += g
 
 
 # a step_by_step weight gradient of a matmul is one product per sample for
@@ -477,12 +483,9 @@ _GRAD_BLOCK = 16
 
 class _ParamGrads:
     """The gradients of the differentiated parameters (names) in a run of
-    `samples` samples, which the walk hands over per sample. Without a
-    batch total, sums holds each one's running per-sample sum over the
-    slabs, [samples, ...] (None until one arrives). Given a batch total
-    (name -> sum), a run of one slab uses each parameter once, so each
-    sample's gradient is final as it arrives: it is added to the total in
-    sample order, and the name leaves sums.
+    `samples` samples: sums holds each one's running per-sample sum,
+    [samples, ...] (None until a term arrives), to which add adds the
+    terms the walk hands over, in the order it hands them.
 
     A walk of one-step slabs (step_by_step) hands over a matmul's weight
     gradient as rows (add_rows): each step's input row and output-gradient
@@ -494,41 +497,21 @@ class _ParamGrads:
     across segments and replays, so the bytes depend neither on
     checkpoint_every, nor on the phases, nor on the samples per run.
 
-    Every array handed to add or add_steps is the walk's own: the kernels
-    and the block products are fresh, and add_steps reduces into a fresh
-    array. So the first becomes the running sum and the later ones are
-    added to it in place (old + g and g + old have the same bytes)."""
+    Every term handed to add is the walk's own array, or a view of one: the
+    first becomes the running sum (a view is copied, so that the sum holds
+    on to nothing larger) and the later ones are added to it in place (old
+    + g and g + old have the same bytes)."""
 
-    def __init__(self, names, samples, total=None):
+    def __init__(self, names, samples):
         self.sums = dict.fromkeys(names)
-        self.samples, self.total = samples, total
+        self.samples = samples
         self.blocks = {}  # name -> [open block, rows kept, input rows, gradient rows]
 
     def add(self, name, per_sample):
-        if self.total is None:
-            if self.sums[name] is None:
-                self.sums[name] = per_sample
-            else:
-                self.sums[name] += per_sample
+        if self.sums[name] is None:
+            self.sums[name] = per_sample if per_sample.base is None else per_sample.copy()
         else:
-            del self.sums[name]
-            for g in per_sample:
-                _fold(self.total, name, g)
-
-    def add_steps(self, name, steps):
-        """Adds the per-step gradients of a slab in reverse time, as add
-        would take them one step at a time: steps, a contiguous [steps,
-        samples, ...] array of the caller's own, holds them newest first.
-        The running sum goes into the first step and np.add.reduce sums the
-        steps in order."""
-        run = self.sums[name] if self.total is None else None
-        if run is not None:
-            steps[0] += run
-        run = np.add.reduce(steps, axis=0)
-        if self.total is None:
-            self.sums[name] = run
-        else:
-            self.add(name, run)
+            self.sums[name] += per_sample
 
     def add_rows(self, name, t1, a, g):
         """Keeps the rows of steps [t1 - steps, t1) of a matmul's input a
@@ -575,18 +558,17 @@ class _ParamGrads:
 def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
     """Walk one slab's instrs (a phase of ctx.reversed) in reverse program
     order. gr holds each slot's gradient (None where none arrived) and
-    receives the contributions, in the order a tape sums them. Only its own
-    instruction reads a slot's gradient and a saved array, so both are
-    dropped once that instruction's backward ran. sg holds each LIF's (gU,
-    gI, gS) from the next slab, [B, ...] each, and is replaced by its (gU,
-    gI, None) for the slab before. acc, a _ParamGrads, receives the
-    differentiated parameters' gradients.
+    receives the contributions, in the order the module docstring gives.
+    Only its own instruction reads a slot's gradient and a saved array, so
+    both are dropped once that instruction's backward ran. sg holds each
+    LIF's (gU, gI, gS) from the next slab, [B, ...] each, and is replaced
+    by its (gU, gI, None) for the slab before. acc, a _ParamGrads, receives
+    the differentiated parameters' per-sample gradients.
 
     In a step_by_step walk, t1 is the step after the slab's last, and the
-    slab is stepwise: a matmul hands acc its weight gradient's rows
-    (_ParamGrads.add_rows), a conv its kernel gradient per step, summed in
-    reverse time, and each LIF hands its steps the +0 that a walk of one
-    step at a time hands them (_lif_backward)."""
+    slab is stepwise: a matmul's input gradient is one gemv per row, and it
+    hands acc its weight gradient's rows (_ParamGrads.add_rows); a conv
+    hands acc its kernel gradient's per-step terms, newest first."""
     lifs = ctx.lifs
     stepwise = t1 is not None
     for kind, out, src, aux, save in instrs:
@@ -594,7 +576,7 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
         gr[out] = None
         dx = dp = None  # the input's and the parameter's gradient
         if kind is _LIF:
-            dx = _lif_backward(saved[save], g, sg, aux, lifs[aux][1], acc.samples, stepwise)
+            dx = _lif_backward(saved[save], g, sg, aux, lifs[aux][1], acc.samples)
         elif g is None:
             pass
         elif kind is _MATMUL and stepwise:
@@ -619,8 +601,8 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
                                          stride, padding, rg[src], name in acc.sums,
                                          rows if stepwise else acc.samples)
             if stepwise and dp is not None:
-                steps = dp.reshape((-1, acc.samples) + dp.shape[1:])[::-1]
-                acc.add_steps(name, np.ascontiguousarray(steps))
+                for step in dp.reshape((-1, acc.samples) + dp.shape[1:])[::-1]:
+                    acc.add(name, step)
                 dp = None
         if dx is not None and rg[src]:
             _add_grad(gr, src, dx)
@@ -630,34 +612,23 @@ def _backward(ctx, params, gr, saved, sg, acc, rg, instrs, t1=None):
             saved[save] = None
 
 
-def _lif_backward(saved, g, sg, k, args, samples, stepwise=False):
+def _lif_backward(saved, g, sg, k, args, samples):
     """LIF layer k's backward from what its forward saved, its U_pre, and
     its output's gradient g (None where none arrived), [steps * samples,
     ...] each; replaces sg[k] and returns the input's gradient, or None. In
     a one-step slab of the stepped phase, saved is the step's rows of the
     surrogate factors (sg, a) that _reverse_segment evaluated over the
-    segment (ops.lif_factors).
-
-    The final-state nodes of a tape run after the layer's consumers: S_T's
-    gradient lands on the last step, and U_T's or I_T's (the hand-over)
-    adds a +0, so the sweep reaches the scan. A walk of one step at a time
-    hands each step the gU and gI of the step after it, so every step but
-    the first one it reaches gets the +0; a stepwise slab of several steps
-    gives its steps the same."""
+    segment (ops.lif_factors). A gradient on S_T, which only the slab of
+    the run's last step receives, adds to that step's rows of g; one on U_T
+    or I_T alone starts the scan from a zero g."""
     factors = isinstance(saved, tuple)
     u_pre = saved[0] if factors else saved  # or an array of its shape and dtype
     gu, gi, gs = sg[k]
     if gs is not None:
-        full = np.zeros_like(u_pre)
-        full[-samples:] = gs
-        g = full if g is None else g + full
-    if gu is not None or gi is not None:
-        g = np.zeros_like(u_pre) if g is None else g + 0.0
-    elif stepwise and g is not None and gs is None and u_pre.shape[0] > samples:
-        # the last step is the first the walk reaches: the steps before it get the +0
-        last = g[-samples:]
-        g = g + 0.0
-        g[-samples:] = last
+        g = np.zeros_like(u_pre) if g is None else g.copy()
+        g[-samples:] += gs
+    elif g is None and (gu is not None or gi is not None):
+        g = np.zeros_like(u_pre)
     if g is None:
         sg[k] = (None, None, None)
         return None
@@ -940,11 +911,14 @@ def _check_sample(graph, input_spikes, init_states_map):
 
 
 def _open_run(graph, plan, inputs, init_maps, params):
-    """The run boundary of one or more samples of one shape: each sample's
-    input and initial states (init_maps) are checked in sample order, then
-    the plan. Returns the inputs as Tensors, the steps per slab, the node
-    program, its parameters from params as Tensors and, per LIF layer, each
-    sample's initial NeuronState."""
+    """The run boundary of one or more samples of one shape: the plan's
+    type, each sample's input and initial states (init_maps) in sample
+    order, then the plan against the graph and T. Returns the inputs as
+    Tensors, the steps per slab, the node program, its parameters from
+    params as Tensors and, per LIF layer, each sample's initial
+    NeuronState."""
+    if not isinstance(plan, ExecutionPlan):
+        raise ValidationError(f"plan must be an ExecutionPlan, got {plan!r}")
     xs = [_check_sample(graph, x, states) for x, states in zip(inputs, init_maps)]
     steps = xs[0].shape[0]
     if any(x.shape[0] != steps for x in xs):
@@ -1112,10 +1086,8 @@ def _run_backward(ctx, pdata, fwd, rg, keys, arrived):
 
 
 def _input_grad(x_grads, x_shape):
-    """The input's gradient from each slab's. A one-slab run passes its own.
-    step_by_step slices one row per step, and a tape sums one full-size
-    array per reached step, zero outside its row: each row is its gradient
-    plus +0 once two or more steps were reached."""
+    """The input's gradient from each slab's: a one-slab run's own, else
+    the step_by_step slabs' rows, zero where none arrived."""
     if len(x_grads) == 1:
         return x_grads[0]
     reached = [(t, g) for t, g in enumerate(x_grads) if g is not None]
@@ -1124,8 +1096,6 @@ def _input_grad(x_grads, x_shape):
     full = np.zeros(x_shape, dtype=reached[0][1].dtype)
     for t, g in reached:
         full[t : t + 1] = g
-    if len(reached) > 1:
-        full += 0.0
     return full
 
 
@@ -1145,8 +1115,9 @@ def run_with_checkpointing(graph, plan, input_spikes, init_states_map, loss_head
     carries, _ExecContext.sample_bytes, are not in it), the summed output
     logits, and peak_tape_nodes, which is 0.
     """
-    if plan.checkpoint_every is None:
-        raise ValidationError("run_with_checkpointing requires plan.checkpoint_every")
+    if not isinstance(plan, ExecutionPlan) or plan.checkpoint_every is None:
+        raise ValidationError("run_with_checkpointing requires an ExecutionPlan with "
+                              "checkpoint_every")
     if len(graph.output_nodes) != 1:
         raise ValidationError("checkpointed loss heads support exactly one output node")
     grads = {}
@@ -1219,16 +1190,13 @@ def _loss_and_grad(graph, plan, inputs, init_maps, loss_heads, total, budget=Non
         newest_steps = (fwd.xs.shape[0] - fwd.newest) // b
         newest_bytes = sum({id(a): a.nbytes for slab in fwd.saved for a in slab}.values())
         peak_saved_bytes = newest_bytes // newest_steps * (k if fwd.starts else newest_steps)
-        one_slab = fwd.rows == fwd.xs.shape[0]
-        acc = _ParamGrads(params, b, total if one_slab else None)
+        acc = _ParamGrads(params, b)
         # the walk frees the newest segment's arrays before its first replay
         _reverse(ctx, params, fwd, fwd.saved, seeds, [(None, None, None)] * len(ctx.lifs), acc,
                  rg)
-        for name, sums in acc.sums.items():  # summed over many slabs, or never reached
-            for g in [None] * b if sums is None else sums:
-                _fold(total, name, np.zeros_like(params[name]) if g is None else g)
+        _fold(total, acc, params)
         segments = len(fwd.starts) + 1
-        del fwd
+        del fwd, acc
     stats = {
         "segments": segments,
         "peak_tape_nodes": 0,

@@ -34,6 +34,7 @@ from .surrogates import SurrogateFn
 from .tensor import ShapeError, Tensor, ValidationError, default_dtype
 
 RESET_MODES = ("subtract", "to_zero")
+INIT_MODES = ("zeros", "uniform")
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,6 @@ def init_state(n, mode="zeros", rng_seed=0, lo=0.0, hi=1.0, dtype=None):
         u = rng.uniform(lo, hi, size=shape).astype(dtype)
         i = rng.uniform(lo, hi, size=shape).astype(dtype)
     else:
-        raise ValidationError(f"unknown init mode {mode!r}")
+        raise ValidationError(f"unknown init mode {mode!r}, expected one of {INIT_MODES}")
     s = np.zeros(shape, dtype=dtype)
     return NeuronState(U=Tensor(u), I=Tensor(i), S=Tensor(s))

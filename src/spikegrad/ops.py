@@ -228,53 +228,26 @@ def matmul_rows(a, b):
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def matmul_backward(a, b, g, need_a, need_b, samples=None):
-    """Gradients (of a, of b; None where not needed) of matmul_rows(a, b)
-    for the output gradient g.
+def matmul_backward(a, b, g, need_a, need_b, samples=1):
+    """Gradients (of a, of b [samples, ...]; None where not needed) of
+    matmul_rows(a, b) for the output gradient g, where the rows of a and g
+    hold `samples` samples, time-major (row t * samples + s).
 
-    With samples, the rows of a and g hold that many samples, time-major
-    (row t * samples + s), and b's gradient is per sample, as _per_sample
-    gives it. Every product is taken per sample with the dimensions that a
-    one-sample call gives BLAS; a sample's rows are a strided matrix, which
-    changes no bit, while a product over more rows can sum in another order.
-
-    For one row per sample the weight gradient is an outer product, a sum of
-    one term. Broadcasting computes that term at a fraction of a k=1 gemm's
-    call cost; adding it to +0, as the gemm's sum starts, turns an exact -0
-    into +0 and changes no other bit, so both give the same bytes.
-    """
-    per = 1 if samples is None else samples
+    Every product is taken per sample with the dimensions that a one-sample
+    call gives BLAS; a sample's rows are a strided matrix, which changes no
+    bit, while a product over more rows can sum in another order."""
     ga = gb = None
-    if a.shape[0] == per:
-        if need_a:
-            ga = matmul_rows(g, b.T)
-        if need_b:
-            gb = a[:, :, None] * g[:, None, :]
-            gb += 0.0
-            if samples is None:
-                gb = gb[0]
-        return ga, gb
-    rows = a.shape[0] // per
-    g3 = g.reshape(rows, per, -1).transpose(1, 0, 2)  # [samples, rows, m]
+    rows = a.shape[0] // samples
+    g3 = g.reshape(rows, samples, -1).transpose(1, 0, 2)  # [samples, rows, m]
     if need_a:
         ga = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(g, b))
-        np.matmul(g3, b.T, out=ga.reshape(rows, per, -1).transpose(1, 0, 2))
+        np.matmul(g3, b.T, out=ga.reshape(rows, samples, -1).transpose(1, 0, 2))
     if need_b:
-        a3 = a.reshape(rows, per, -1).transpose(1, 2, 0)  # [samples, n, rows]
-        gb = _per_sample((a3[s] @ g3[s] for s in range(per)), samples, True)
+        a3 = a.reshape(rows, samples, -1).transpose(1, 2, 0)  # [samples, n, rows]
+        gb = np.empty((samples,) + b.shape, dtype=np.result_type(a, g))
+        for s in range(samples):
+            np.matmul(a3[s], g3[s], out=gb[s])
     return ga, gb
-
-
-def _per_sample(grads, samples, many_rows):
-    """A parameter's gradient from grads, an iterator over the samples'
-    gradients: without samples, the one gradient; for several samples of
-    many rows, the iterator itself, so that one sample's gradient is alive
-    at a time; else all of them stacked, [samples, ...]."""
-    if samples is None:
-        return next(grads)
-    if samples > 1 and many_rows:
-        return grads
-    return np.stack(list(grads))
 
 
 def matmul(a, b):
@@ -293,7 +266,8 @@ def matmul(a, b):
     taped = [t for t, on in ((a, need_a), (b, need_b)) if on]
 
     def bwd(g):
-        return [d for d in matmul_backward(ad, bd, g, need_a, need_b) if d is not None]
+        ga, gb = matmul_backward(ad, bd, g, need_a, need_b)
+        return ([ga] if need_a else []) + ([gb[0]] if need_b else [])
 
     return _record(tape, "matmul", out, taped, bwd)
 
@@ -386,13 +360,12 @@ def conv2d_forward(x4, kernel, stride, padding):
 
 
 def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k,
-                    samples=None):
-    """Gradients (of the input, of the kernel; None where not needed) of
-    conv2d_forward for the output gradient g [B, Co, Ho, Wo] and the phase
-    planes it returned. With samples, the B rows hold that many samples,
-    time-major, and the kernel's gradient is per sample, as _per_sample
-    gives it, each summed over its sample's rows as a one-sample call sums
-    them.
+                    samples=1):
+    """Gradients (of the input, of the kernel [samples, ...]; None where not
+    needed) of conv2d_forward for the output gradient g [B, Co, Ho, Wo] and
+    the phase planes it returned, where the B rows hold `samples` samples,
+    time-major. Each sample's kernel gradient is summed over its rows as a
+    one-sample call sums them.
 
     g goes on the ho x wq output grid, zero in the cropped columns, inside a
     flat buffer with a zero lead as long as the largest window offset. A
@@ -419,14 +392,13 @@ def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k,
             # a phase no tap reads (stride > k) gets no gradient
             dx[:, :, xr, xc] = 0 if dplane is None else dplane.reshape(b, ci, hq, wq)[:, :, r, col]
     if need_k:
-        per = 1 if samples is None else samples
         per_row = np.empty((k * k, b, co, ci), dtype=np.result_type(g, planes))
         for t, (_, _, p, off) in enumerate(taps):
             np.matmul(gw, planes[:, :, p, off : off + span].transpose(0, 2, 1), out=per_row[t])
-        by_sample = per_row.reshape(k * k, b // per, per, co, ci)
-        dk = _per_sample((np.ascontiguousarray(by_sample[:, :, s].sum(axis=1)
-                                               .reshape(k, k, co, ci).transpose(2, 3, 0, 1))
-                          for s in range(per)), samples, b > per)
+        by_sample = per_row.reshape(k * k, b // samples, samples, co, ci)
+        dk = np.empty((samples, co, ci, k, k), dtype=per_row.dtype)
+        for s in range(samples):
+            dk[s] = by_sample[:, :, s].sum(axis=1).reshape(k, k, co, ci).transpose(2, 3, 0, 1)
     return dx, dk
 
 
@@ -436,7 +408,7 @@ def _conv2d_taped(x4, kernel, stride, padding, taped_x, taped_k):
 
     def bwd(g):
         dx, dk = conv2d_backward(g, planes, kernel, x_shape, stride, padding, taped_x, taped_k)
-        return [d for d in (dx, dk) if d is not None]
+        return ([dx] if taped_x else []) + ([dk[0]] if taped_k else [])
 
     return out, bwd
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import executor, ops
 from .executor import ExecutionPlan
+from .neurons import INIT_MODES
 from .tensor import ContractError, ShapeError, Tensor, ValidationError, _int_at_least
 
 
@@ -46,6 +47,13 @@ class TrainConfig:
             raise ValidationError(f"eps must be finite and positive, got {self.eps}")
         self.batch_size = _int_at_least("batch_size", self.batch_size, 1)
         self.epochs = _int_at_least("epochs", self.epochs, 1)
+        # numpy's generators take no negative seed
+        self.seed = _int_at_least("seed", self.seed, 0)
+        if not isinstance(self.plan, ExecutionPlan):
+            raise ValidationError(f"plan must be an ExecutionPlan, got {self.plan!r}")
+        if self.init_state_mode not in INIT_MODES:
+            raise ValidationError(
+                f"init_state_mode must be one of {INIT_MODES}, got {self.init_state_mode!r}")
 
 
 @dataclass
@@ -100,9 +108,9 @@ def spike_count_ce_loss(record, target):
 # reverse walk: the arrays its forward saves plus its per-sample parameter
 # gradients (and, in step_by_step, the weight-gradient rows it carries), as
 # _ExecContext.sample_bytes counts them from the program's shapes, T and
-# dtype. 3 MiB holds 4 samples of the benchmark's float32 MLP
-# (T = 100: 439 KB saved and its 256 x 256 weight's gradient per sample)
-# and 1 of its CNN (T = 25: 1.82 MB saved).
+# dtype. 3 MiB holds 4 samples of the benchmark's float32 MLP (T = 100:
+# 439 KB saved and 338 KB of gradients per sample) and 1 of its CNN
+# (T = 25: 1.82 MB saved and 174 KB of gradients).
 MICRO_BATCH_BYTES = 3 * 2**20
 
 

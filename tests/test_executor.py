@@ -66,6 +66,18 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             ExecutionPlan("step_by_step", checkpoint_every=k)
 
+    @pytest.mark.parametrize("entry", ["run", "run_with_checkpointing"])
+    def test_plan_must_be_an_execution_plan(self, entry):
+        # a scheduler's name in its place raised AttributeError
+        g = mlp()
+        x = np.ones((3, 4))
+        with pytest.raises(ValidationError):
+            if entry == "run":
+                run(g, "step_by_step", x, init_states(g))
+            else:
+                run_with_checkpointing(g, "step_by_step", x, init_states(g),
+                                       SpikeCountCELoss(np.eye(3)[0]))
+
 
 class TestInitStates:
     def test_zeros_for_all_stateful_nodes(self):
@@ -623,6 +635,33 @@ class TestInPlaceGradientSums:
             assert np.array_equal(g.params[name], p), name
 
 
+class TestKernelGradientSteps:
+    def test_a_one_element_kernel_sums_its_steps_in_order(self):
+        # A 1 x 1 single-channel conv runs before the feedback cycle, over
+        # a whole segment's rows, and hands over one kernel gradient term
+        # per step, newest first. A reduction over the steps would sum a
+        # one-element kernel's terms pairwise, in an order that depends on
+        # where the segments end.
+        g = graph_build(
+            [conv_layer(1, 1, 1), lif_layer(), flatten_layer(), linear_layer(4), lif_layer(4),
+             linear_layer(4), linear_layer(3), lif_layer(3)],
+            [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 4, 1), (4, 6, 0),
+             (6, 7, 0)],
+            input_shape=(1, 3, 3), seed=1, dtype=np.float32,
+        )
+        x = np.random.default_rng(0).uniform(0.0, 2.0, (24, 1, 3, 3)).astype(np.float32)
+        states = init_states(g, mode="uniform", seed=1)
+        want = {}
+        executor_mod._loss_and_grad(g, ExecutionPlan("step_by_step"), [x], [states],
+                                    [SpikeCountCELoss(np.eye(3)[1])], want)
+        for k in (1, 3, 5):
+            _, got, _ = run_with_checkpointing(
+                g, ExecutionPlan("step_by_step", checkpoint_every=k), x, states,
+                SpikeCountCELoss(np.eye(3)[1]))
+            for name, w in want.items():
+                assert got[name].tobytes() == w.tobytes(), (k, name)
+
+
 def block_graph(dtype):
     """A recurrent graph with all three phases: two input layers (nodes 0
     and 1) run over whole segments, a LIF layer (2) with a delay-1 feedback
@@ -751,8 +790,8 @@ class TestWeightGradientBlocks:
         saved, grads, carried = 3 + 3 + 5 + 5 + 5 + 4, 15 + 15 + 25 + 20, 16 * (8 + 8 + 10 + 9)
         assert ctx.sample_bytes(self.T, 1, 7) == (7 * saved + grads + carried) * 4
         assert ctx.sample_bytes(self.T, 1, None) == (self.T * saved + grads + carried) * 4
-        # a walk of one step holds one slab: the largest gradient, and the carry
-        assert ctx.sample_bytes(1, 1, None) == (saved + 25 + carried) * 4
+        # a walk of one step keeps every gradient too, and the carry
+        assert ctx.sample_bytes(1, 1, None) == (saved + grads + carried) * 4
         # the walk's carried rows are what sample_bytes counts
         held = []
         finish = executor_mod._ParamGrads.finish
@@ -768,6 +807,84 @@ class TestWeightGradientBlocks:
             loss_and_grad(g, ExecutionPlan("step_by_step", checkpoint_every=7),
                           self.batch(np.float32))
         assert held == [carried * 4]
+
+
+class SignedZeroHead:
+    """A loss head whose logit gradient is a fixed array, -0.0 entries and
+    all."""
+
+    def __init__(self, dlogits):
+        self.dlogits = dlogits
+
+    def loss_and_logit_grad(self, logits):
+        return float(np.sum(logits * np.abs(self.dlogits))), self.dlogits
+
+
+def negative_zeros(a):
+    return int(np.sum((a == 0) & np.signbit(a)))
+
+
+class TestSignedZeros:
+    """-0.0 seeds give the same gradient bytes, signed zeros included,
+    whatever checkpoint_every, and with or without a tape: no path of the
+    walk adds a +0 that another path does not."""
+
+    T = 7
+
+    def inputs(self, dtype):
+        rng = np.random.default_rng(12)
+        return rng.uniform(0.0, 2.0, (self.T, 3)).astype(dtype), rng
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_taped_seeds_on_a_record_and_a_final_u(self, dtype):
+        g = block_graph(dtype)
+        x, rng = self.inputs(dtype)
+        # -0.0 in the read-out's record and final U, for one neuron
+        rec_seed = rng.standard_normal((self.T, 4)).astype(dtype)
+        rec_seed[:, 1] = -0.0
+        u_seed = rng.standard_normal(4).astype(dtype)
+        u_seed[1] = -0.0
+        got = {}
+        for k in (1, 3, None):
+            tape = Tape()
+            leaves = {n: tape.leaf(g.params[n]) for n in sorted(g.params)}
+            leaves["x"] = tape.leaf(x)
+            states = {}
+            for nid, st in init_states(g, mode="uniform", seed=3).items():
+                leaves[f"U{nid}"], leaves[f"I{nid}"] = tape.leaf(st.U.data), tape.leaf(st.I.data)
+                states[nid] = NeuronState(U=leaves[f"U{nid}"], I=leaves[f"I{nid}"], S=st.S)
+            final, rec = run(g, ExecutionPlan("step_by_step", checkpoint_every=k), leaves["x"],
+                             states, params={n: leaves[n] for n in g.params})
+            grads = tape.grads_from_seeds({rec.outputs[5].node_id: rec_seed,
+                                           final[5].U.node_id: u_seed})
+            got[k] = {name: grads[t.node_id] for name, t in leaves.items()}
+        assert sum(negative_zeros(v) for v in got[None].values()) > 0
+        for k in (1, 3):
+            for name, want in got[None].items():
+                assert got[k][name].tobytes() == want.tobytes(), (k, name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_logit_gradient_with_negative_zeros(self, dtype):
+        g = block_graph(dtype)
+        x, _ = self.inputs(dtype)
+        head = SignedZeroHead(np.array([0.5, -0.0, -1.0, -0.0], dtype=dtype))
+        states = init_states(g, mode="uniform", seed=3)
+        want = {}
+        executor_mod._loss_and_grad(g, ExecutionPlan("step_by_step"), [x], [states], [head],
+                                    want)
+        for k in (1, 3):
+            _, got, _ = run_with_checkpointing(
+                g, ExecutionPlan("step_by_step", checkpoint_every=k), x, states, head)
+            for name, w in want.items():
+                assert got[name].tobytes() == w.tobytes(), (k, name)
+        # a taped run seeded with the logit gradient on every step of the record
+        tape = Tape()
+        params = {n: tape.leaf(g.params[n]) for n in sorted(g.params)}
+        _, rec = run(g, ExecutionPlan("step_by_step"), x, states, params=params)
+        grads = tape.grads_from_seeds({rec.outputs[5].node_id: np.tile(head.dlogits,
+                                                                       (self.T, 1))})
+        for name, w in want.items():
+            assert grads[params[name].node_id].tobytes() == w.tobytes(), ("taped", name)
 
 
 class TestTrace:

@@ -78,9 +78,9 @@ class TestMatmul:
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (64, 128), (128, 128), (128, 10),
                                       (257, 33)])
     def test_one_row_weight_grad_matches_gemm(self, n, m, dtype):
-        # a one-row weight gradient is a broadcast product added to +0; it
-        # gives the k=1 gemm ad.T @ g byte for byte, signed zeros included
-        # (a0 has zeros and g negative entries, whose products are -0)
+        # a one-row weight gradient is the k=1 gemm ad.T @ g byte for byte,
+        # signed zeros included (a0 has zeros and g negative entries, whose
+        # products are -0)
         rng = np.random.default_rng(n * m)
         a0 = (rng.random((1, n)) < 0.3).astype(dtype)
         a0[0, : n // 3] = rng.normal(size=n // 3)
@@ -223,7 +223,8 @@ class TestConvKernel:
         x, kernel, stride, padding, rng = case
         out, planes = ops.conv2d_forward(x, kernel, stride, padding)
         g = rng.uniform(-1, 1, out.shape).astype(x.dtype)
-        dx, dk = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, True)
+        # one sample: the kernel's gradient is [1, ...]
+        dx, (dk,) = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, True)
         want = naive_conv(x, kernel, stride, padding, g)
         # each value is a sum of at most C * k * k (or B * Ho * Wo) products,
         # so its rounding error stays below a few ulps of the sum of their
@@ -270,8 +271,7 @@ class TestPerSampleKernels:
         g = rng.standard_normal((rows * samples, 33)).astype(dtype)
         w = rng.standard_normal((17, 33)).astype(dtype)
         ga, gw = ops.matmul_backward(a, w, g, True, True, samples)
-        gw = list(gw)
-        assert len(gw) == samples
+        assert gw.shape == (samples,) + w.shape
         for s in range(samples):
             one_a, one_w = ops.matmul_backward(np.ascontiguousarray(a[s::samples]), w,
                                                np.ascontiguousarray(g[s::samples]), True, True)
@@ -289,8 +289,7 @@ class TestPerSampleKernels:
         g = rng.uniform(-1, 1, out.shape).astype(dtype)
         dx, dk = ops.conv2d_backward(g, planes, kernel, x.shape, stride, padding, True, True,
                                      samples)
-        dk = list(dk)
-        assert len(dk) == samples
+        assert dk.shape == (samples,) + kernel.shape
         for s in range(samples):
             xs, gs = np.ascontiguousarray(x[s::samples]), np.ascontiguousarray(g[s::samples])
             _, one_planes = ops.conv2d_forward(xs, kernel, stride, padding)

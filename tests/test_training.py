@@ -148,6 +148,14 @@ class TestOptimizers:
         with pytest.raises(ValidationError):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("plan", "layer_by_layer"), ("seed", -1), ("seed", 1.5), ("init_state_mode", "bogus"),
+    ])
+    def test_plan_seed_and_init_mode_validated(self, field, value):
+        # each was accepted here and failed, or was truncated, in train
+        with pytest.raises(ValidationError):
+            TrainConfig(**{field: value})
+
     def test_adam_constants_at_their_limits_accepted(self):
         TrainConfig(learning_rate=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
 

@@ -308,7 +308,12 @@ def _train_from_config(cfg, data, metrics_path):
         n_in, classes = cfg["n_in"], cfg["classes"]
     else:
         loaded = np.load(data)
+        if not isinstance(loaded, np.lib.npyio.NpzFile):
+            raise ValidationError(f"{data} holds one array, not an .npz of inputs and targets")
         inputs, targets = loaded["inputs"], loaded["targets"]
+        if inputs.ndim != 3 or targets.ndim != 2 or len(inputs) != len(targets):
+            raise ValidationError(f"{data}: inputs must be [N, T, n_in] and targets [N, classes], "
+                                  f"got {inputs.shape} and {targets.shape}")
         dataset = [(Tensor(inputs[i]), targets[i]) for i in range(inputs.shape[0])]
         n_in, classes = inputs.shape[-1], targets.shape[-1]
     graph = sequential(
@@ -417,6 +422,10 @@ def cli(argv=None):
                 unknown = sorted(set(loaded) - set(cfg))
                 if unknown:
                     raise ValidationError(f"unknown train config keys {unknown}")
+                toy_only = sorted(set(loaded) & {"classes", "n_in", "steps", "samples_per_class"})
+                if args.data != "toy" and toy_only:
+                    raise ValidationError(f"train config keys {toy_only} set the toy data; "
+                                          f"{args.data} gives its own sizes")
                 cfg.update(loaded)
             return _train_from_config(cfg, args.data, args.metrics)
         if args.command == "gradcheck":

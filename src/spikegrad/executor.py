@@ -6,12 +6,13 @@ value slots, in topological order. A value that an op would return
 unchanged (an identity reshape, a merge of one input) keeps its input's
 slot. _forward runs the program on plain ndarrays over a slab of rows
 [rows, ...]; _backward walks it in reverse. Both call the ndarray kernels
-that the ops in ops.py wrap (lif_scan_forward/_backward, matmul_rows and
-matmul_backward, conv2d_forward/_backward), so each formula exists once.
+of ops.py (lif_scan_forward/_backward, matmul_rows and matmul_backward,
+conv2d_forward/_backward), which the taped ops.matmul and ops.conv2d wrap
+too, so each formula exists once. neurons.lif_scan is a one-layer run.
 The two schedulers compute the same discretized system and differ only in
 loop order:
 
-* layer_by_layer: one slab of all T steps, so each LIF layer is one fused
+* layer_by_layer: one slab of all T steps, so each LIF layer is one
   scan. Only valid for graphs without delay-1 edges.
 * step_by_step: delay-1 edges read the source's previous-step output
   (zeros at step 0), so arbitrary feedback is supported. Only what lies on

@@ -9,18 +9,11 @@ current I, updated by the discrete recurrence
     U' = U_pre - thr * S'           (reset by subtraction, default)
        | U_pre * (1 - S')           (reset to zero)
 
-lif_scan runs the recurrence over every row of its input as a single fused
-tape node with a hand-written BPTT backward (ops.lif_scan). Its forward and
-backward are the ndarray kernels ops.lif_scan_forward and
-ops.lif_scan_backward, which the executor's node program calls for every
-LIF layer, over all T steps in layer_by_layer and, in step_by_step, over
-a segment's steps in the phases before and after the stepped one
-(executor._ExecContext._phases). In the stepped phase the forward runs
-one step at a time, and the backward evaluates lif_scan_backward's
-surrogate factors once over a segment (ops.lif_factors) and then takes
-one step at a time (ops.lif_step_backward).
-lif_step and lif_smooth_step record every op of one step on the tape; they
-are the per-step reference that lif_scan and the executor are tested against.
+lif_step and lif_smooth_step record every op of one step on the tape;
+they are the per-step reference that the executor is tested against.
+lif_scan runs one layer over T steps as a one-layer graph through the
+executor, whose LIF kernels are ops.lif_scan_forward and
+ops.lif_scan_backward.
 """
 
 from __future__ import annotations
@@ -110,10 +103,17 @@ def lif_smooth_step(state, input_current, params, sharpness):
 
 def lif_scan(state, inputs, params, sharpness=None):
     """lif_step over every row of inputs [T, ...] (lif_smooth_step when a
-    sharpness is given) as one fused tape node; returns (final state,
-    spikes [T, ...])."""
-    spikes, u, i, s = ops.lif_scan(inputs, state.U, state.I, params, sharpness)
-    return NeuronState(U=u, I=i, S=s), spikes
+    sharpness is given) as a one-layer layer_by_layer run in state.U's
+    dtype; returns (final state, spikes [T, ...]). On a tape it is one
+    graph_run node plus output nodes for the spikes and the final U, I, S."""
+    # both modules import this one
+    from .executor import ExecutionPlan, run
+    from .topology import graph_build, lif_layer
+
+    graph = graph_build([lif_layer(state.U.shape, params=params, smooth_sharpness=sharpness)],
+                        [], input_shape=state.U.shape, dtype=state.U.dtype)
+    final, record = run(graph, ExecutionPlan("layer_by_layer"), inputs, {0: state})
+    return final[0], record.outputs[0]
 
 
 def init_state(n, mode="zeros", rng_seed=0, lo=0.0, hi=1.0, dtype=None):

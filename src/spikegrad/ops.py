@@ -245,8 +245,7 @@ def matmul_backward(a, b, g, need_a, need_b, samples=1):
     if need_b:
         a3 = a.reshape(rows, samples, -1).transpose(1, 2, 0)  # [samples, n, rows]
         gb = np.empty((samples,) + b.shape, dtype=np.result_type(a, g))
-        for s in range(samples):
-            np.matmul(a3[s], g3[s], out=gb[s])
+        np.matmul(a3, g3, out=gb)
     return ga, gb
 
 
@@ -392,13 +391,17 @@ def conv2d_backward(g, planes, kernel, x_shape, stride, padding, need_x, need_k,
             # a phase no tap reads (stride > k) gets no gradient
             dx[:, :, xr, xc] = 0 if dplane is None else dplane.reshape(b, ci, hq, wq)[:, :, r, col]
     if need_k:
-        per_row = np.empty((k * k, b, co, ci), dtype=np.result_type(g, planes))
+        # sample-major, so that each sample's terms lie as a one-sample
+        # call's and the sum over its rows goes in the same order: numpy
+        # sums pairwise along a contiguous axis, as the rows are when
+        # co = ci = 1, and row by row otherwise
+        rows = b // samples
+        per_row = np.empty((samples, k * k, rows, co, ci), dtype=np.result_type(g, planes))
+        g4 = gw.reshape(rows, samples, co, span)
         for t, (_, _, p, off) in enumerate(taps):
-            np.matmul(gw, planes[:, :, p, off : off + span].transpose(0, 2, 1), out=per_row[t])
-        by_sample = per_row.reshape(k * k, b // samples, samples, co, ci)
-        dk = np.empty((samples, co, ci, k, k), dtype=per_row.dtype)
-        for s in range(samples):
-            dk[s] = by_sample[:, :, s].sum(axis=1).reshape(k, k, co, ci).transpose(2, 3, 0, 1)
+            window = planes[:, :, p, off : off + span].reshape(rows, samples, ci, span)
+            np.matmul(g4, window.transpose(0, 1, 3, 2), out=per_row[:, t].transpose(1, 0, 2, 3))
+        dk = per_row.sum(axis=2).reshape(samples, k, k, co, ci).transpose(0, 3, 4, 1, 2)
     return dx, dk
 
 
@@ -542,13 +545,10 @@ def lif_scan_backward(u_pre, g, gu, gi, alpha, beta, thr, surrogate, subtract, s
     gradients gu, gi [B, ...] on U_T, I_T (a Python 0.0 for an unseeded one,
     which takes the other operand's dtype, as the zero array it stands
     for). Returns the gradients of (x, in U_pre's shape, U_0, I_0);
-    evaluates the surrogate once over U_pre (lif_factors)."""
+    evaluates the surrogate once over U_pre (lif_factors). Each step runs
+    lif_step_backward's expressions, in its order."""
     sg, a = lif_factors(u_pre, np.result_type(g, u_pre.dtype), thr, surrogate, subtract,
                         sharpness)
-    if u_pre.shape[0] == samples:
-        # one step, as step_by_step walks it: the loop below without its
-        # buffer and row views
-        return lif_step_backward(sg, a, g, gu, gi, alpha, beta)
     # b = g * sg over sg, which is then spent
     b = np.multiply(g, sg, out=sg)
     del sg
@@ -605,72 +605,6 @@ def lif_args(params, sharpness=None):
         raise ValidationError(f"sharpness must be positive, got {sharpness}")
     return (float(params.alpha), float(params.beta), float(params.thr), params.surrogate,
             params.reset == "subtract", sharpness)
-
-
-def lif_scan(x, u0, i0, params, sharpness=None):
-    """Fused LIF recurrence over all T steps of x [T, ...].
-
-    params supplies alpha, beta, thr, surrogate and reset (a LIFParams).
-    Each step computes exactly what neurons.lif_step computes, with the same
-    expressions and dtypes; with a sharpness it computes lif_smooth_step.
-    Returns (spikes [T, ...], U_T, I_T, S_T).
-
-    On a tape the spike train is one node whose backward is the hand-written
-    BPTT of lif_scan_backward; it saves only U_pre [T, ...]. U_T, I_T and
-    S_T are small nodes on top of the spike train: a gradient seeded on
-    them reaches the scan's backward, which starts the reverse recurrence
-    from it.
-    """
-    x, u0, i0 = _as_tensor(x), _as_tensor(u0), _as_tensor(i0)
-    if x.ndim < 1 or x.shape[0] < 1 or x.shape[1:] != u0.shape or i0.shape != u0.shape:
-        raise ShapeError(
-            f"lif_scan expects x [T, *{u0.shape}] and state {u0.shape}, "
-            f"got x {x.shape}, U {u0.shape}, I {i0.shape}"
-        )
-    args = lif_args(params, sharpness)
-    tape = _tape_of(x, u0, i0)
-    # one sample: the kernels' sample axis has length 1
-    spikes, u_pre, u, i, s_last = lif_scan_forward(x.data, u0.data[None], i0.data[None], *args)
-    u, i, s_last = u[0], i[0], s_last[0]
-    if tape is None:
-        return Tensor(spikes), Tensor(u), Tensor(i), Tensor(s_last)
-
-    on_tape = [t.tape is tape for t in (x, u0, i0)]
-    taped = [t for t, on in zip((x, u0, i0), on_tape) if on]
-    # the closures below hold shapes and arrays only, never a Tensor, so a
-    # dropped tape is freed by reference counting without a cycle
-    seq_shape, state_shape = spikes.shape, u.shape
-    dtype = u_pre.dtype
-    final = {}  # gradients seeded on U_T / I_T, consumed by the scan's backward
-
-    def bwd(g):
-        gx, gu, gi = lif_scan_backward(u_pre, g, final.pop("U", 0.0), final.pop("I", 0.0),
-                                       *args)
-        grads = (gx, gu.reshape(state_shape), gi.reshape(state_shape))
-        return [g for g, on in zip(grads, on_tape) if on]
-
-    out = _record(tape, "lif_scan", spikes, taped, bwd)
-
-    def seed_final(key):
-        # A zero gradient on the spike train makes the sweep reach the scan's
-        # backward even when only U_T or I_T is seeded. The first of the two
-        # to run hands it over; the other adds nothing.
-        def bwd_final(g):
-            first = not final
-            final[key] = g
-            return [np.zeros(seq_shape, dtype=np.result_type(g, dtype)) if first else None]
-
-        return bwd_final
-
-    def bwd_s(g):
-        full = np.zeros(seq_shape, dtype=np.result_type(g, dtype))
-        full[-1] = g
-        return [full]
-
-    u_t = _record(tape, "lif_scan_u", u, [out], seed_final("U"))
-    i_t = _record(tape, "lif_scan_i", i, [out], seed_final("I"))
-    s_t = _record(tape, "lif_scan_s", s_last, [out], bwd_s)
-    return out, u_t, i_t, s_t
 
 
 def softmax_ce_and_grad(logits, target):

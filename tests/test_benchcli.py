@@ -233,6 +233,60 @@ class TestCli:
         assert cli(["train", "--config", str(cfg_path)]) == 1
         assert "unroll" in capsys.readouterr().err
 
+    @staticmethod
+    def _npz(tmp_path, inputs_shape=(6, 5, 4), targets_shape=(6, 2)):
+        rng = np.random.default_rng(0)
+        inputs = (rng.random(inputs_shape) < 0.3).astype(np.float32)
+        targets = np.zeros(targets_shape)
+        if len(targets_shape) == 2:
+            targets[np.arange(targets_shape[0]), np.arange(targets_shape[0]) % 2] = 1.0
+        path = tmp_path / "data.npz"
+        np.savez(path, inputs=inputs, targets=targets)
+        return path
+
+    def test_train_npz_exits_0(self, tmp_path, capsys):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "batch_size": 3, "hidden": 4}))
+        metrics = tmp_path / "metrics.csv"
+        code = cli(["train", "--config", str(cfg_path), "--data", str(self._npz(tmp_path)),
+                    "--metrics", str(metrics)])
+        assert code == 0, capsys.readouterr().err
+        assert metrics.read_text().startswith("epoch,mean_loss,accuracy,wall_ms")
+        assert "trained 1 epochs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["classes", "n_in", "steps", "samples_per_class"])
+    def test_train_npz_rejects_toy_keys(self, tmp_path, capsys, key):
+        # the data set gives these sizes; a config that sets them is not
+        # honoured, so it is an error
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, key: 3}))
+        code = cli(["train", "--config", str(cfg_path), "--data", str(self._npz(tmp_path))])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    @pytest.mark.parametrize("inputs_shape, targets_shape", [
+        ((6, 5, 2, 3, 3), (6, 2)),
+        ((5, 4), (6, 2)),
+        ((6, 5, 4), (6,)),
+        ((6, 5, 4), (5, 2)),
+    ], ids=["image_inputs", "no_time_axis", "class_indices", "more_inputs_than_targets"])
+    def test_train_npz_bad_shapes_exit_1(self, tmp_path, capsys, inputs_shape, targets_shape):
+        path = self._npz(tmp_path, inputs_shape, targets_shape)
+        assert cli(["train", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[N, T, n_in]" in err
+
+    def test_train_npy_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "inputs.npy"
+        np.save(path, np.zeros((6, 5, 4)))
+        assert cli(["train", "--data", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gradcheck_pass_exits_0(self, capsys):
+        assert cli(["gradcheck"]) == 0
+        assert "gradcheck PASS" in capsys.readouterr().out
+
     def test_train_missing_config_file_exits_1(self, tmp_path):
         assert cli(["train", "--config", str(tmp_path / "nope.json")]) == 1
 

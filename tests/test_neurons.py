@@ -1,5 +1,5 @@
 """LIF cell behavior: hand-evaluated steps, decay laws, smooth-twin checks,
-and the fused scan against unrolled steps."""
+and the scan against unrolled steps."""
 
 import gc
 import tracemalloc
@@ -241,8 +241,8 @@ class TestLifScan:
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("reset", ["subtract", "to_zero"])
     def test_final_seeds_alone_reach_initial_state(self, reset, steps, seeded):
-        # whichever of U_T and I_T is seeded hands the scan's backward the
-        # zero spike-train gradient that makes the sweep reach it
+        # whichever of U_T and I_T is seeded hands graph_run the zero
+        # gradient that makes the sweep reach it
         self._check_final_seed_alone(reset, steps, seeded)
 
     @staticmethod
@@ -268,20 +268,24 @@ class TestLifScan:
         assert np.abs(grads[1]).max() > 0
         assert _rel(grads[1], grads[0]) < 1e-10
 
-    def test_one_tape_node_for_the_spike_train(self):
+    @pytest.mark.parametrize("steps", [1, 50])
+    def test_one_tape_node_for_the_spike_train(self, steps):
+        # however long the scan: one graph_run node plus one output node
+        # each for the spike train, U_T, I_T and S_T
         tape = Tape()
-        x = tape.leaf(np.full((50, 4), 0.6))
+        x = tape.leaf(np.full((steps, 4), 0.6))
         before = len(tape)
-        _, spikes = lif_scan(init_state(4, dtype=np.float64), x, params())
-        # the scan node plus one node each for U_T, I_T and S_T
-        assert len(tape) - before == 4
-        assert tape._tags[spikes.node_id] == "lif_scan"
+        final, spikes = lif_scan(init_state(4, dtype=np.float64), x, params())
+        added = tape._tags[before:]
+        assert sorted(added) == ["graph_run"] + ["graph_run_out"] * 4
+        for out in (spikes, final.U, final.I, final.S):
+            assert tape._tags[out.node_id] == "graph_run_out"
 
     @pytest.mark.parametrize("scheduler", ["layer_by_layer", "step_by_step"])
     def test_dropped_tape_freed_without_cycle_collector(self, scheduler):
         # a reference cycle through a backward closure would keep every
-        # training step's tape alive until the next gc pass: neither the
-        # scan's closures nor a taped run's graph_run closures hold a Tensor
+        # training step's tape alive until the next gc pass: a taped run's
+        # graph_run closures hold no Tensor, whether lif_scan or run made it
         g = sequential(
             [linear_layer(3, in_features=2), lif_layer(3), linear_layer(2), lif_layer(2)],
             input_shape=(2,), dtype=np.float64,
@@ -334,6 +338,21 @@ class TestLifScan:
             tracemalloc.stop()
         assert gx.dtype == np.float32
         assert peak < (arrays + 0.5) * u_pre.nbytes
+
+    def test_taped_input_of_another_dtype_rejected(self):
+        # the scan computes in the state's dtype; casting a taped input would
+        # cut it off its tape
+        tape = Tape()
+        x = tape.leaf(np.full((5, 3), 0.6, dtype=np.float32))
+        with pytest.raises(ValidationError, match="dtype"):
+            lif_scan(init_state(3, dtype=np.float64), x, params())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.full((5, 3), 0.6)
+        x[2, 1] = bad
+        with pytest.raises(ValidationError, match="NaN or inf"):
+            lif_scan(init_state(3, dtype=np.float64), Tensor(x), params())
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -6,7 +6,9 @@ ops.add per fan-in, ops.reshape and ops.conv2d_batched. The program computes
 the same forward expressions, so spikes and final states must be
 bit-identical; its backward is the fused BPTT walk, so gradients agree to
 rounding. The reference shares no code with the executor's segment forward
-and reverse walk, so it also checks run_with_checkpointing's replays.
+and reverse walk, so it also checks run_with_checkpointing's replays. The
+program runs step_by_step on every graph and layer_by_layer on acyclic
+twins of the same graphs.
 """
 
 import math
@@ -117,12 +119,20 @@ PHASE_SHAPES = {
 }
 
 
+def _without_cycles(edges):
+    """The edges of layer_by_layer's twin of a graph: a delay-1 edge that
+    points back in node order is dropped, one that points forward loses
+    its delay."""
+    return [(s, d, 0) for s, d, dl in edges if not dl or s < d]
+
+
 @st.composite
-def cases(draw):
+def cases(draw, acyclic=False):
     """conv -> LIF -> flatten -> linear -> LIF -> linear -> LIF, with a
     projected fan-in from the conv LIF into the hidden LIF and a delay-1
     feedback edge, projected unless it is the hidden layer's self-loop; or
-    one of PHASE_SHAPES."""
+    one of PHASE_SHAPES. With acyclic, the graph has no delay-1 edge
+    (_without_cycles), so layer_by_layer can run it."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
 
     def lif(n=None):
@@ -145,6 +155,8 @@ def cases(draw):
                  else lif(sizes[k]) if k.startswith("lif") else linear_layer(sizes[k])
                  for k in kinds]
         out = max(n for n, k in enumerate(kinds) if k == "lif_out")
+        if acyclic:
+            edges = _without_cycles(edges)
         graph = graph_build(nodes, edges, input_nodes=inputs, output_nodes=[out],
                             input_shape=(n_in,), seed=draw(st.integers(0, 2**16)), dtype=dtype)
         t = draw(st.integers(1, 8))
@@ -158,6 +170,8 @@ def cases(draw):
     feedback = draw(st.sampled_from([(6, 4, 1), (4, 4, 1), (6, 0, 1), (4, 3, 1)]))
     edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0), (5, 6, 0), (1, 4, 0),
              feedback]
+    if acyclic:
+        edges = _without_cycles(edges)
     graph = graph_build(nodes, edges, input_shape=(c_in, size, size),
                         seed=draw(st.integers(0, 2**16)), dtype=dtype)
     t = draw(st.integers(1, 6))
@@ -205,6 +219,17 @@ class TestProgramAgainstPerOpReference:
     @settings(max_examples=60, deadline=None)
     @given(cases())
     def test_spikes_states_and_gradients(self, case):
+        self._check(case, "step_by_step")
+
+    @settings(max_examples=40, deadline=None)
+    @given(cases(acyclic=True))
+    def test_layer_by_layer(self, case):
+        # the scheduler's own input-gradient GEMMs and one-product weight
+        # gradients, against the oracle rather than against step_by_step
+        self._check(case, "layer_by_layer")
+
+    @staticmethod
+    def _check(case, scheduler):
         graph, rng, t, seed_record = case
         seed = int(rng.integers(2**31))
         out = graph.output_nodes[0]
@@ -212,9 +237,11 @@ class TestProgramAgainstPerOpReference:
         for program in (True, False):
             tape, params, x, states = taped_leaves(graph, np.random.default_rng(seed), t)
             if program:
-                final, rec = run(graph, ExecutionPlan("step_by_step"), x, states, params=params)
+                final, rec = run(graph, ExecutionPlan(scheduler), x, states, params=params)
                 record = rec.outputs[out]
-                assert tape._tags.count("graph_run") == 1 and "lif_scan" not in tape._tags
+                # one graph_run node and its outputs, no node per op
+                assert tape._tags.count("graph_run") == 1
+                assert set(tape._tags) == {"leaf", "graph_run", "graph_run_out"}
             else:
                 final, records = per_op_step_by_step(graph, x, states, params)
                 record = records[out]

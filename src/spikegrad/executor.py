@@ -52,8 +52,10 @@ many rows, a value is dropped after its last reader. _reverse walks the
 segments back and replays each earlier segment from its start when it
 reaches it; within a segment (_reverse_segment) it walks the post phase
 over all rows, the stepped slabs back to front, then the pre phase over
-all rows, each phase's program in reverse. It drops each slot's gradient
-and each saved array once their instruction's backward ran.
+all rows in one pass, each phase's program in reverse; a stepped slab
+that a delay-1 path has not yet reached hands the pre phase zero rows.
+It drops each slot's gradient and each saved array once their
+instruction's backward ran.
 
 It sums every gradient but a step_by_step weight gradient in the order a
 walk of one step at a time sums it: a value's loss seed first, then its
@@ -765,10 +767,11 @@ def _reverse(ctx, params, fwd, saved, seeds, sg, acc, rg):
 def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg, x_grads):
     """The reverse walk over the segment of rows [r0, r1), whose arrays are
     in saved: the post phase over all of its rows, then the stepped slabs,
-    the last first, then the pre phase over all of its rows. carry holds,
-    per prev slot, its source's gradient at the segment's last step: the
-    source's seed plus its delay-1 consumers' gradients at the step after
-    (None for the run's last segment). Writes each stepped slab's input
+    the last first, then the pre phase over all of its rows in one stepwise
+    pass (zero rows where a stepped slab handed a slot no gradient). carry
+    holds, per prev slot, its source's gradient at the segment's last step:
+    the source's seed plus its delay-1 consumers' gradients at the step
+    after (None for the run's last segment). Writes each slab's input
     gradient into x_grads and returns the carry for the segment before.
 
     Where the slabs are one step (step_by_step), each slab's _backward gets
@@ -815,8 +818,17 @@ def _reverse_segment(ctx, params, r0, r1, rows, saved, seeds, carry, sg, acc, rg
             got.append(gr[slot])
         x_grads[r0 // rows + i] = gr[0]
     if pre:
-        _pre_backward(ctx, params, g, handoff, saved[0], n, rows, sg, acc, rg, x_grads,
-                      r0 // rows)
+        # each slot the stepped slabs read gets its segment gradient, in
+        # time order: a slab that handed it none (a slot that a delay-1 edge
+        # reaches only at steps before the run's end) adds zero rows
+        for slot, got in handoff.items():
+            like = next((v for v in got if v is not None), None)
+            if like is not None:
+                pieces = [np.zeros_like(like) if v is None else v for v in reversed(got)]
+                g[slot] = pieces[0] if n == 1 else np.concatenate(pieces)
+        _backward(ctx, params, g, saved[0], sg, acc, rg, pre, r1 // rows)
+        for i in range(n):
+            x_grads[r0 // rows + i] = None if g[0] is None else g[0][i * rows : (i + 1) * rows]
     return carry
 
 
@@ -831,40 +843,6 @@ def _stepped_factors(ctx, slabs):
             rows = len(u_pre) // len(slabs)
             for i, slab in enumerate(slabs):
                 slab[save] = (sg[i * rows : (i + 1) * rows], a[i * rows : (i + 1) * rows])
-
-
-def _pre_backward(ctx, params, g, handoff, saved, n, rows, sg, acc, rg, x_grads, at):
-    """The pre phase's reverse walk over a segment of n stepped slabs of
-    `rows` rows, the first of them slab `at` of the run. g holds the pre
-    phase's slots' seeds and post terms over the segment, and handoff, per
-    slot the stepped slabs read, its gradient after each slab's walk, the
-    last slab first. Where every slab's gradient of such a slot arrived,
-    the walk is one stepwise slab over the segment; otherwise (a slot that
-    a delay-1 edge reaches only at steps before the run's end) it walks the
-    segment slab by slab, as the stepped phase does."""
-    pre = ctx.reversed[0]
-    whole = True
-    for slot, got in handoff.items():
-        arrived = [v for v in got if v is not None]
-        if not arrived:
-            g[slot] = None
-        elif len(arrived) == n:
-            g[slot] = arrived[0] if n == 1 else np.concatenate(arrived[::-1])
-        else:
-            whole = False
-    if whole:
-        _backward(ctx, params, g, saved, sg, acc, rg, pre, at + n)
-        for i in range(n):
-            x_grads[at + i] = None if g[0] is None else g[0][i * rows : (i + 1) * rows]
-        return
-    for i in range(n - 1, -1, -1):
-        gr = [None if v is None else v[i * rows : (i + 1) * rows] for v in g]
-        for slot, got in handoff.items():
-            gr[slot] = got[n - 1 - i]
-        _backward(ctx, params, gr, [a[i * rows : (i + 1) * rows] for a in saved], sg, acc, rg,
-                  pre, at + i + 1)
-        x_grads[at + i] = gr[0]
-    saved.clear()
 
 
 def input_shape(graph):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_program import TOLERANCE, per_op_step_by_step, summing_magnitudes
+from test_program import PHASE_SHAPES, TOLERANCE, per_op_step_by_step, summing_magnitudes
 
 import spikegrad.executor as executor_mod
 import spikegrad.training as training_mod
@@ -443,6 +443,50 @@ def taped_run_grads(graph, plan, x):
     return {name: grads[t.node_id] for name, t in leaves.items()}, tape
 
 
+def phase_graph(shape, dtype):
+    """The graph of one of test_program's PHASE_SHAPES, at fixed sizes."""
+    kinds, edges, inputs = PHASE_SHAPES[shape]
+    sizes = {"hidden": 4, "lif": 4, "in_hidden": 4, "hidden2": 3, "lif2": 3, "out": 3,
+             "lif_out": 3, "in_out": 3}
+    nodes = [linear_layer(4 if k is None else sizes[k], in_features=3)
+             if k is None or k.startswith("in_")
+             else lif_layer(sizes[k]) if k.startswith("lif") else linear_layer(sizes[k])
+             for k in kinds]
+    out = max(n for n, k in enumerate(kinds) if k == "lif_out")
+    return graph_build(nodes, edges, input_nodes=inputs, output_nodes=[out], input_shape=(3,),
+                       seed=4, dtype=dtype)
+
+
+class TestPhasesIndependentOfSegments:
+    """The pre phase is walked once per segment, with zero rows where a
+    stepped slab handed it no gradient, so every gradient has the same
+    bytes at every checkpoint_every, taped or not."""
+
+    T = 9
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", sorted(PHASE_SHAPES))
+    def test_bytes_equal_across_checkpoint_every(self, shape, dtype):
+        g = phase_graph(shape, dtype)
+        x = np.random.default_rng(6).uniform(0.0, 2.0, (self.T, 3)).astype(dtype)
+        target = np.eye(3)[1]
+        ref, _ = taped_run_grads(g, ExecutionPlan("step_by_step"), x)
+        loss, want = loss_and_grad(g, ExecutionPlan("step_by_step"), [(x, target)],
+                                   init_mode="uniform", init_seed=2)
+        assert ref["x"].any() and all(want[n].any() for n in g.params)
+        for k in range(1, self.T + 1):
+            plan = ExecutionPlan("step_by_step", checkpoint_every=k)
+            got, _ = taped_run_grads(g, plan, x)
+            assert sorted(got) == sorted(ref)
+            for name in ref:
+                assert got[name].tobytes() == ref[name].tobytes(), (k, name)
+            got_loss, got = loss_and_grad(g, plan, [(x, target)], init_mode="uniform",
+                                          init_seed=2)
+            assert got_loss == loss
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (k, name)
+
+
 class TestRunHonoursCheckpointEvery:
     T = 12
 
@@ -742,22 +786,28 @@ class TestWeightGradientBlocks:
             self.assert_same_bytes(got, want, ("micro-batch", micro))
 
     def test_a_block_misses_the_steps_that_get_no_gradient(self, monkeypatch):
+        # the stepped feedback weight (node 3) gets no row at step 52; the pre
+        # phase walks its segment in one pass, so node 1's weight gets a
+        # zero-gradient row there
         g = block_graph(np.float64)
-        steps = {}
+        steps, grads = {}, {}
         add_rows = executor_mod._ParamGrads.add_rows
 
         def spy(acc, name, t1, a, g_rows):
-            steps.setdefault(name, []).extend(range(t1 - len(a) // acc.samples, t1))
+            t0 = t1 - len(a) // acc.samples
+            steps.setdefault(name, []).extend(range(t0, t1))
+            grads.update(((name, t), g_rows[t - t0]) for t in range(t0, t1))
             return add_rows(acc, name, t1, a, g_rows)
 
         monkeypatch.setattr(executor_mod._ParamGrads, "add_rows", spy)
         x, target = self.batch(np.float64)[0]
         run_with_checkpointing(g, ExecutionPlan("step_by_step", checkpoint_every=19), x,
                                self.states(g), SpikeCountCELoss(target))
-        for name in ("node0.weight", "node4.weight"):
+        for name in ("node0.weight", "node1.weight", "node4.weight"):
             assert sorted(steps[name]) == list(range(self.T)), name
-        for name in ("node1.weight", "node3.weight"):
-            assert sorted(steps[name]) == list(range(self.T - 1)), name
+        assert not grads[("node1.weight", self.T - 1)].any()
+        assert grads[("node1.weight", self.T - 2)].any()
+        assert sorted(steps["node3.weight"]) == list(range(self.T - 1))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_against_the_per_op_reference(self, dtype):

@@ -2,7 +2,7 @@
 
 The reference runs step_by_step on one Tape with one node per op: lif_step
 or lif_smooth_step per LIF layer, ops.matmul per linear node and projection,
-ops.add per fan-in, ops.reshape and ops.conv2d_batched. The program computes
+ops.add per fan-in, ops.reshape and ops.conv2d. The program computes
 the same forward expressions, so spikes and final states must be
 bit-identical; its backward is the fused BPTT walk, so gradients agree to
 rounding. The reference shares no code with the executor's segment forward
@@ -79,8 +79,8 @@ def per_op_step_by_step(graph, x, states, params):
                                                      node.smooth_sharpness)
                 cur[nid] = ops.reshape(s, one)
             elif node.kind == "conv":
-                cur[nid] = ops.conv2d_batched(merged, params[graph.param_name(nid)],
-                                              stride=node.stride, padding=node.padding)
+                cur[nid] = ops.conv2d(merged, params[graph.param_name(nid)],
+                                      stride=node.stride, padding=node.padding)
             elif node.kind == "linear":
                 flat = ops.reshape(merged, (1, node.in_features))
                 cur[nid] = ops.matmul(flat, params[graph.param_name(nid)])

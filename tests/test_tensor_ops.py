@@ -161,6 +161,51 @@ class TestConv2d:
         fd = central_diff(f, x0, eps=1e-5)
         assert rel_err(grads[x.node_id].data, fd) < 1e-4
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
+    def test_stack_has_the_bytes_of_one_call_per_input(self, dtype, stride, padding):
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(-1, 1, (3, 2, 5, 5)).astype(dtype)
+        k = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)).astype(dtype))
+
+        def taped_conv(xv, seed):
+            tape = Tape()
+            x = tape.leaf(xv)
+            out = ops.conv2d(x, k, stride=stride, padding=padding)
+            return out.data, tape.grads_from_seeds({out.node_id: seed})[x.node_id]
+
+        ho = (5 + 2 * padding - 3) // stride + 1
+        seed = rng.uniform(-1, 1, (3, 3, ho, ho)).astype(dtype)
+        out, dx = taped_conv(x0, seed)
+        assert out.shape == seed.shape and dx.shape == x0.shape
+        for b in range(3):
+            out_b, dx_b = taped_conv(x0[b], seed[b])
+            assert out[b].dtype == out_b.dtype == dtype
+            assert out[b].tobytes() == out_b.tobytes(), b
+            assert dx[b].tobytes() == dx_b.tobytes(), b
+
+    def test_stack_kernel_gradient_vs_fd(self):
+        rng = np.random.default_rng(5)
+        x0 = rng.uniform(-1, 1, (3, 2, 5, 5))
+        k0 = rng.uniform(-1, 1, (2, 2, 3, 3))
+        w = Tensor(rng.uniform(-1, 1, (3, 2, 3, 3)))
+        tape = Tape()
+        k = tape.leaf(k0)
+        y = ops.sum_all(ops.mul(ops.conv2d(Tensor(x0), k, stride=2, padding=1), w))
+        grads = backward(tape, y.node_id)
+
+        def f(kv):
+            out = ops.conv2d(Tensor(x0), Tensor(kv), stride=2, padding=1)
+            return float(ops.sum_all(ops.mul(out, w)).data)
+
+        fd = central_diff(f, k0, eps=1e-5)
+        assert rel_err(grads[k.node_id].data, fd) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(3, 3), (1, 1, 1, 3, 3)])
+    def test_input_of_another_rank_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            ops.conv2d(Tensor(np.ones(shape)), Tensor(np.ones((1, 1, 2, 2))))
+
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))

@@ -235,8 +235,23 @@ def matmul_backward(a, b, g, need_a, need_b, samples=1):
 
     Every product is taken per sample with the dimensions that a one-sample
     call gives BLAS; a sample's rows are a strided matrix, which changes no
-    bit, while a product over more rows can sum in another order."""
+    bit, while a product over more rows can sum in another order. A
+    one-wide b (n or m = 1) is the exception: numpy sums a one-wide product
+    of strided operands in another order than of contiguous ones, so there
+    each sample's rows are copied and take one 2-D product, in every call."""
     ga = gb = None
+    if 1 in b.shape:
+        if need_a:
+            ga = np.empty((a.shape[0], b.shape[0]), dtype=np.result_type(g, b))
+        if need_b:
+            gb = np.empty((samples,) + b.shape, dtype=np.result_type(a, g))
+        for s in range(samples):
+            g2 = np.ascontiguousarray(g[s::samples])
+            if need_a:
+                ga[s::samples] = g2 @ b.T
+            if need_b:
+                gb[s] = np.ascontiguousarray(a[s::samples]).T @ g2
+        return ga, gb
     rows = a.shape[0] // samples
     g3 = g.reshape(rows, samples, -1).transpose(1, 0, 2)  # [samples, rows, m]
     if need_a:

@@ -309,12 +309,15 @@ class TestPerSampleKernels:
     for one sample but row by row for five."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-    @pytest.mark.parametrize("rows, samples", [(1, 3), (7, 8), (25, 5)])
-    def test_matmul_backward(self, dtype, rows, samples):
-        rng = np.random.default_rng(rows * 10 + samples)
-        a = rng.standard_normal((rows * samples, 17)).astype(dtype)
-        g = rng.standard_normal((rows * samples, 33)).astype(dtype)
-        w = rng.standard_normal((17, 33)).astype(dtype)
+    @pytest.mark.parametrize("rows, samples", [(1, 3), (7, 8), (25, 5), (100, 2)])
+    # a one-wide weight (n or m = 1) takes one 2-D product per sample: numpy
+    # sums a one-wide product of strided rows in another order
+    @pytest.mark.parametrize("n, m", [(17, 33), (1, 1), (1, 4), (4, 1), (1, 7), (3, 1)])
+    def test_matmul_backward(self, dtype, rows, samples, n, m):
+        rng = np.random.default_rng(rows * 10 + samples + 100 * n + 1000 * m)
+        a = rng.standard_normal((rows * samples, n)).astype(dtype)
+        g = rng.standard_normal((rows * samples, m)).astype(dtype)
+        w = rng.standard_normal((n, m)).astype(dtype)
         ga, gw = ops.matmul_backward(a, w, g, True, True, samples)
         assert gw.shape == (samples,) + w.shape
         for s in range(samples):

@@ -513,6 +513,20 @@ class TestMicroBatches:
             assert_same_bytes(loss_and_grad(g, plan, batch), per_sample_loop(g, plan, batch))
             trains_like_the_loop(g, plan, batch, "zeros")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scheduler", ["step_by_step", "layer_by_layer"])
+    def test_a_one_wide_hidden_layer_keeps_the_per_sample_bytes(self, scheduler, dtype):
+        # a hidden width of 1 makes both weights one wide (ops.matmul_backward)
+        g = sequential([linear_layer(1, in_features=4), lif_layer(1), linear_layer(2),
+                        lif_layer(2)], input_shape=(4,), seed=5, dtype=dtype)
+        rng = np.random.default_rng(5)
+        batch = [(rng.uniform(0.0, 2.0, (40, 4)), np.eye(2)[i % 2]) for i in range(3)]
+        plan = ExecutionPlan(scheduler)
+        with mock.patch.object(training, "MICRO_BATCH_BYTES", micro_batch_budget(g, plan, 40, 3)):
+            got = loss_and_grad(g, plan, batch)
+        assert all(v.any() for v in got[1].values())
+        assert_same_bytes(got, per_sample_loop(g, plan, batch))
+
     def test_benchmark_shapes_get_their_micro_batch(self):
         # 3 MiB holds 4 samples of the float32 MLP at T = 100 and 1 of the
         # CNN at T = 25

@@ -13,15 +13,15 @@ an empty diff means both compute the same bytes:
 
 The graphs have the benchmark's shapes (an MLP, a CNN and a recurrent net
 with a delay-1 feedback weight), plus a CNN whose convs have stride 2 and
-padding 1 and a recurrent net whose program has all three phases (two
-feedback cycles in series, layers before and after them), built here, in
-float32 and float64. Each graph gets records for step_by_step on a full
-tape, layer_by_layer where the graph allows it, run_with_checkpointing at
-k = 7, 10 and T (1, 3 and T for the phases graph), a taped run whose
-input, initial states and final state are taped as well, and the
-parameters after an Adam
-epoch over four samples, once in batches of 2 and 2 and once in batches of
-3 and 1. train differentiates a batch in micro-batches of as many samples
+padding 1, a recurrent net whose program has all three phases (two
+feedback cycles in series, layers before and after them) and an MLP with
+a hidden layer one neuron wide, built here, in float32 and float64. Each
+graph gets records for step_by_step on a full tape, layer_by_layer where
+the graph allows it, run_with_checkpointing at k = 7, 10 and T (1, 3 and
+T for the phases graph), a taped run whose input, initial states and
+final state are taped as well, and the parameters after an Adam epoch
+over four samples, once in batches of 2 and 2 and once in batches of 3
+and 1. train differentiates a batch in micro-batches of as many samples
 as training.MICRO_BATCH_BYTES allows, so where the budget holds several
 samples, the batches of 3 and 1 train a micro-batch of several samples
 and one of a single sample.
@@ -29,8 +29,9 @@ and one of a single sample.
 The tool also checks itself, and prints what failed to stderr and exits 1
 when a check fails: per scheduler, training.loss_and_grad (which builds no
 tape) must give the bytes of a full-tape reference (Tape, executor.run,
-spike_count_ce_loss, grads_from_seeds), and every checkpoint_k record must
-equal the step_by_step record of its sample.
+spike_count_ce_loss, grads_from_seeds), and two samples run as one
+micro-batch must give the bytes of the two run one by one; every
+checkpoint_k record must equal the step_by_step record of its sample.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def phases(dtype):
     ), 30
 
 
+def narrow(dtype):
+    # a hidden layer one neuron wide: both of its weights are one wide
+    return sequential(
+        [linear_layer(1, in_features=16), lif_layer(1), linear_layer(CLASSES),
+         lif_layer(CLASSES)],
+        input_shape=(16,), seed=5, dtype=dtype,
+    ), 50
+
+
 # checkpoint_every values per graph besides T
 CHECKPOINTS = {"phases": (1, 3)}
 
@@ -178,9 +188,25 @@ def full_tape(graph, plan, x, target, mode):
     return float(loss.data), {n: grads[t.node_id] for n, t in params.items()}
 
 
+def micro_batch_matches(graph, plan, pair):
+    """Whether training.loss_and_grad of the two samples in pair, run as one
+    micro-batch from the same initial states, has the bytes of their
+    single-sample results summed in sample order and halved, loss included."""
+    singles = [training.loss_and_grad(graph, plan, [s], init_mode="uniform", init_seed=5)
+               for s in pair]
+    budget = training.MICRO_BATCH_BYTES
+    training.MICRO_BATCH_BYTES = 2**40  # both samples in one micro-batch
+    try:
+        loss, grads = training.loss_and_grad(graph, plan, pair, init_mode="uniform", init_seed=5)
+    finally:
+        training.MICRO_BATCH_BYTES = budget
+    want = {name: (singles[0][1][name] + singles[1][1][name]) / 2 for name in grads}
+    return digest(loss, grads) == digest((singles[0][0] + singles[1][0]) / 2, want)
+
+
 def records(failures):
     """Yields (name, digest) per record; appends each failed check to failures."""
-    for build in (mlp, cnn, cnn_stride2, rsnn, phases):
+    for build in (mlp, cnn, cnn_stride2, rsnn, phases, narrow):
         for dtype in (np.float32, np.float64):
             graph, steps = build(dtype)
             tag = f"{build.__name__}.{np.dtype(dtype).name}"
@@ -209,6 +235,10 @@ def records(failures):
                     yield name, h
                     if h != by_sched["step_by_step"]:
                         failures.append(f"{name}: differs from the step_by_step record")
+            for sched in schedulers:
+                if not micro_batch_matches(graph, ExecutionPlan(sched), samples(graph, steps, 1)):
+                    failures.append(f"{tag}.{sched}: a micro-batch of two samples differs "
+                                    "from the samples run one by one")
             dataset = samples(graph, steps, seed=2) + samples(graph, steps, seed=3)
             for sched in schedulers:
                 for batch_size, record in ((2, "adam_2_batches"), (3, "adam_batches_3_1")):

@@ -20,6 +20,9 @@ from .topology import GraphError, conv_layer, flatten_layer, lif_layer, linear_l
 
 
 CNN_CLASSES = 10  # width of the CNN bench graph's LIF readout
+# the BenchSpec fields that each arch's graph does not read
+_UNREAD = {"mlp": ("channels", "kernel", "stride", "in_channels", "image_size"),
+           "cnn": ("width", "n_in")}
 
 
 @dataclass
@@ -47,16 +50,24 @@ class BenchSpec:
                      "image_size", "steps", "batch_size"):
             setattr(self, name, _int_at_least(name, getattr(self, name), 1))
         self.repeats = _int_at_least("repeats", self.repeats, 3)
+        self.seed = _int_at_least("seed", self.seed, 0)
+        if not isinstance(self.schedulers, (list, tuple)) or not self.schedulers:
+            raise ValidationError(f"schedulers must be a nonempty list, got {self.schedulers!r}")
+        self.schedulers = tuple(self.schedulers)
         for s in self.schedulers:
             if s not in executor.SCHEDULERS:
                 raise ValidationError(f"unknown scheduler {s!r}")
 
     @classmethod
     def from_json(cls, doc):
+        """The spec a JSON document gives; a key the arch does not read is
+        rejected, not ignored."""
         doc = dict(doc)
         doc.pop("version", None)
-        if "schedulers" in doc:
-            doc["schedulers"] = tuple(doc["schedulers"])
+        arch = doc.get("arch", cls.arch)
+        unread = sorted(set(doc) & set(_UNREAD.get(arch, ())))
+        if unread:
+            raise ValidationError(f"bench spec keys {unread} do not apply to arch {arch!r}")
         return cls(**doc)
 
 
@@ -78,7 +89,7 @@ def gen_random_spikes(n, t, rate, seed=0):
     if not (0.0 <= rate <= 1.0):
         raise ValidationError(f"rate must be in [0, 1], got {rate}")
     shape = (int(n),) if np.isscalar(n) else tuple(int(s) for s in n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least("seed", seed, 0))
     spikes = (rng.random((int(t),) + shape) < rate).astype(np.float64)
     return Tensor(spikes)
 
@@ -93,7 +104,7 @@ def gen_toy(classes, n_in, t, samples_per_class, seed=0):
         raise ValidationError(f"need at least 2 classes, got {classes}")
     if classes > n_in:
         raise ValidationError(f"{classes} classes need at least {classes} input channels")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least("seed", seed, 0))
     block = n_in // classes
     dataset = []
     for c in range(classes):
@@ -238,7 +249,7 @@ def random_smooth_graph(rng, sharpness=25.0):
 
 def gradcheck_run(eps=1e-6, seed=0, n_archs=5, threshold=1e-4):
     """AD-vs-FD sweep over random smooth architectures; returns a GradReport."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_int_at_least("seed", seed, 0))
     plan = ExecutionPlan("step_by_step")
     reports = []
     per_param = {}

@@ -140,6 +140,7 @@ class SpikeRecord:
 
 def init_states(graph, mode="zeros", seed=0):
     """One NeuronState per stateful node, deterministically derived from seed."""
+    seed = _int_at_least("seed", seed, 0)
     states = {}
     for nid in graph.stateful_nodes():
         node = graph.node(nid)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .surrogates import SurrogateFn
-from .tensor import ShapeError, Tensor, ValidationError, default_dtype
+from .tensor import ShapeError, Tensor, ValidationError, _int_at_least, default_dtype
 
 RESET_MODES = ("subtract", "to_zero")
 INIT_MODES = ("zeros", "uniform")
@@ -125,6 +125,7 @@ def init_state(n, mode="zeros", rng_seed=0, lo=0.0, hi=1.0, dtype=None):
     shape = (int(n),) if np.isscalar(n) else tuple(int(s) for s in n)
     if any(s < 1 for s in shape):
         raise ValidationError(f"state shape must be positive, got {shape}")
+    rng_seed = _int_at_least("rng_seed", rng_seed, 0)
     dtype = dtype or default_dtype()
     if mode == "zeros":
         u = np.zeros(shape, dtype=dtype)

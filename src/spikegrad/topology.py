@@ -348,7 +348,7 @@ def graph_build(nodes, edges, input_nodes=None, output_nodes=None, input_shape=N
         edges=edges,
         input_nodes=list(input_nodes),
         output_nodes=list(output_nodes),
-        seed=seed,
+        seed=_int_at_least("seed", seed, 0),  # numpy's generators take no negative seed
         dtype=np.dtype(dtype) if dtype is not None else np.dtype(default_dtype()),
         input_shape=tuple(input_shape) if input_shape is not None else None,
     )

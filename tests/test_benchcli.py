@@ -24,6 +24,23 @@ from spikegrad.topology import lif_layer, linear_layer, sequential
 from spikegrad.training import TrainConfig, train
 
 
+BAD_SEEDS = [-1, 1.5, None, True]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+@pytest.mark.parametrize("entry", ["gen_random_spikes", "gen_toy", "gradcheck_run",
+                                   "BenchSpec"])
+def test_seed_must_be_a_non_negative_int(entry, seed):
+    call = {
+        "gen_random_spikes": lambda: gen_random_spikes(3, 4, 0.5, seed=seed),
+        "gen_toy": lambda: gen_toy(2, 2, 3, 1, seed=seed),
+        "gradcheck_run": lambda: gradcheck_run(seed=seed, n_archs=1),
+        "BenchSpec": lambda: BenchSpec(seed=seed),
+    }[entry]
+    with pytest.raises(ValidationError, match="seed"):
+        call()
+
+
 class TestGenRandomSpikes:
     def test_rate_zero_and_one(self):
         assert gen_random_spikes(5, 10, 0.0).data.sum() == 0
@@ -107,6 +124,21 @@ class TestBenchSpec:
     def test_non_positive_or_non_integral_sizes_rejected(self, field, value):
         with pytest.raises(ValidationError):
             BenchSpec(**{field: value})
+
+    @pytest.mark.parametrize("schedulers", [[], (), "step_by_step", None])
+    def test_schedulers_must_be_a_nonempty_list(self, schedulers):
+        with pytest.raises(ValidationError, match="schedulers"):
+            BenchSpec(schedulers=schedulers)
+        with pytest.raises(ValidationError, match="schedulers"):
+            BenchSpec.from_json({"schedulers": schedulers})
+
+    @pytest.mark.parametrize("arch, key", [
+        ("mlp", "channels"), ("mlp", "kernel"), ("mlp", "stride"), ("mlp", "in_channels"),
+        ("mlp", "image_size"), ("cnn", "width"), ("cnn", "n_in")])
+    def test_from_json_rejects_keys_the_arch_does_not_read(self, arch, key):
+        # the default value too: the key is rejected, not its value
+        with pytest.raises(ValidationError, match=key):
+            BenchSpec.from_json({"arch": arch, key: getattr(BenchSpec, key)})
 
     def test_from_json_roundtrip(self):
         spec = BenchSpec.from_json({"version": 1, "arch": "mlp", "width": 32,
@@ -194,10 +226,10 @@ class TestCli:
     @pytest.mark.parametrize("arch", ["mlp", "cnn"])
     def test_bench_each_arch_exits_0(self, arch, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
+        sizes = ({"width": 4, "n_in": 4} if arch == "mlp"
+                 else {"channels": 2, "in_channels": 1, "image_size": 4})
         spec_path.write_text(json.dumps({
-            "arch": arch, "width": 4, "channels": 2, "depth": 1, "n_in": 4,
-            "in_channels": 1, "image_size": 4, "steps": 3,
-            "batch_size": 1, "repeats": 3,
+            "arch": arch, "depth": 1, "steps": 3, "batch_size": 1, "repeats": 3, **sizes,
         }))
         out = tmp_path / "bench.csv"
         assert cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 0
@@ -207,6 +239,37 @@ class TestCli:
             for p in ("forward", "forward_backward")
         }
         assert "layer_by_layer forward_backward" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"schedulers": []}, "schedulers"),
+        ({"schedulers": "step_by_step"}, "schedulers"),
+        ({"kernel": 7, "image_size": 99}, "'image_size', 'kernel'"),
+        ({"arch": "cnn", "width": 4}, "'width'"),
+    ], ids=["negative_seed", "float_seed", "no_schedulers", "scheduler_string",
+            "mlp_with_cnn_keys", "cnn_with_mlp_keys"])
+    def test_bench_spec_option_rejected(self, tmp_path, capsys, doc, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(doc))
+        out = tmp_path / "o.csv"
+        assert cli(["bench", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
+    def test_gradcheck_negative_seed_exits_1(self, capsys):
+        assert cli(["gradcheck", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+
+    @pytest.mark.parametrize("seed", [-5, None, 1.5])
+    def test_simulate_version_1_graph_with_bad_seed_exits_1(self, tmp_path, capsys, seed):
+        g = sequential([linear_layer(3, in_features=2), lif_layer(3)], input_shape=(2,))
+        doc = {k: v for k, v in topology.to_json(g).items() if k not in ("dtype", "params")}
+        graph_path = tmp_path / "net.json"
+        graph_path.write_text(json.dumps(dict(doc, version=1, seed=seed)))
+        input_path = tmp_path / "input.csv"
+        input_path.write_text("1,0\n0,1\n")
+        assert cli(["simulate", "--graph", str(graph_path), "--input", str(input_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: seed")
 
     def test_bench_spec_unrolls_key_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

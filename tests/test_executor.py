@@ -101,6 +101,11 @@ class TestInitStates:
         g = sequential([linear_layer(2, in_features=2)], input_shape=(2,))
         assert init_states(g) == {}
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            init_states(mlp(), mode="uniform", seed=seed)
+
 
 class TestRunBasics:
     def test_single_lif_passthrough_matches_numpy(self):

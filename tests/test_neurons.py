@@ -396,6 +396,12 @@ class TestInitState:
         with pytest.raises(ValidationError):
             init_state(3, mode="uniform", lo=1.0, hi=1.0)
 
+    @pytest.mark.parametrize("mode", ["zeros", "uniform"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    def test_seed_must_be_a_non_negative_int(self, mode, seed):
+        with pytest.raises(ValidationError, match="rng_seed"):
+            init_state(3, mode=mode, rng_seed=seed)
+
     def test_shape_tuple(self):
         st0 = init_state((2, 3, 3))
         assert st0.U.shape == (2, 3, 3)

@@ -348,6 +348,23 @@ class TestSerialization:
         out = g.output_nodes[0]
         assert a.outputs[out].data.tobytes() == b.outputs[out].data.tobytes()
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
+    @pytest.mark.parametrize("entry", ["graph_build", "sequential", "sequential_recurrent",
+                                       "from_json"])
+    def test_seed_must_be_a_non_negative_int(self, entry, seed):
+        layers = [linear_layer(3, in_features=2), lif_layer(3)]
+        doc1 = {k: v for k, v in to_json(sequential(layers, input_shape=(2,))).items()
+                if k not in ("dtype", "params")}
+        build = {
+            "graph_build": lambda: graph_build(layers, [(0, 1, 0)], input_shape=(2,), seed=seed),
+            "sequential": lambda: sequential(layers, input_shape=(2,), seed=seed),
+            "sequential_recurrent": lambda: sequential_recurrent(
+                layers, feedback=[(1, 1)], input_shape=(2,), seed=seed),
+            "from_json": lambda: from_json(dict(doc1, version=1, seed=seed)),
+        }[entry]
+        with pytest.raises(ValidationError, match="seed"):
+            build()
+
     def test_version_1_document_gets_seeded_weights(self):
         g = self.recurrent_graph()
         seeded = {name: w.copy() for name, w in g.params.items()}
